@@ -6,15 +6,14 @@
 // statistics the Bureau reported — blocks solved exactly, persons
 // reconstructed, putative and confirmed re-identifications.
 //
-// A second "SAT backend duel" leg pits the DPLL baseline against the CDCL
-// engine on the same census encodings, in the style of bench_recon_lp's
-// LP backend duel. The duel set mixes exact-table blocks (both backends
-// solve them by propagation) with noise-perturbed infeasible blocks whose
-// tables demand more persons in one age bucket than the sex-by-age rows
-// can supply. Refuting those requires learning from conflicts: CDCL
-// derives the contradiction in a few thousand decisions while
-// chronological DPLL wanders until its decision budget runs out. The
-// duel's shape checks are the performance contract of the CDCL engine.
+// A second "SAT duel set" leg runs the CDCL engine on a fixed block set
+// under one decision budget. The set mixes exact-table blocks (solved by
+// propagation) with noise-perturbed infeasible blocks whose tables demand
+// more persons in one age bucket than the sex-by-age rows can supply.
+// Refuting those requires learning from conflicts: CDCL derives the
+// contradiction in a few thousand decisions, where a chronological DPLL
+// runs out of budget. Deciding every block within the budget is the
+// performance contract of the CDCL engine.
 
 #include <cstdio>
 #include <string>
@@ -36,7 +35,7 @@ struct PipelineOutcome {
 
 // Shared decision budget for every duel block. CDCL refutes the largest
 // perturbed block in ~7.5k decisions (deterministic), so 10k is safe
-// headroom; DPLL burns the full budget on every perturbed block.
+// headroom.
 constexpr size_t kDuelBudget = 10000;
 constexpr size_t kDuelPerturbedSizes[] = {4, 5, 6};
 
@@ -84,15 +83,14 @@ struct SatDuelLeg {
   double wall_seconds = 0.0;
 };
 
-SatDuelLeg RunSatDuelLeg(const std::string& backend,
-                         const std::vector<BlockTables>& duel_tables) {
+SatDuelLeg RunSatDuelLeg(const std::vector<BlockTables>& duel_tables) {
   SatDuelLeg leg;
   bench::WallTimer timer;
   for (const BlockTables& t : duel_tables) {
     // Per-block solve latency lands in the bench.main_loop histogram —
     // the per-block solve-time distribution, not just one aggregate.
     auto r = bench::TimedIteration(
-        [&] { return ReconstructBlockSat(t, kDuelBudget, backend); });
+        [&] { return ReconstructBlockSat(t, kDuelBudget); });
     if (!r.ok()) {
       leg.outcomes.push_back(DuelOutcome::kError);
       leg.block_decisions.push_back(0);
@@ -220,41 +218,38 @@ int Run(int argc, char** argv) {
   }
   table.Print();
 
-  // Solver cross-validation: both SAT back-ends (DPLL and CDCL, over the
-  // same sequential-counter cardinality encodings) must agree with the CSP
+  // Solver cross-validation: the SAT engine (CDCL over the
+  // sequential-counter cardinality encodings) must agree with the CSP
   // engine blockwise.
   size_t sat_checked = 0;
   size_t sat_agree = 0;
-  for (const std::string& backend : {std::string("dpll"),
-                                     std::string("cdcl")}) {
-    for (size_t b = 0; b < std::min<size_t>(pop.blocks.size(), 40); ++b) {
-      auto sat = ReconstructBlockSat(exact[b], /*max_decisions=*/500000,
-                                     backend);
-      if (!sat.ok()) continue;
-      ++sat_checked;
-      // Agreement = SAT finds a solution exactly when CSP did, and its
-      // solution satisfies the same exact tables (checked inside the test
-      // suite; here: satisfiability + size).
-      if (sat->satisfiable &&
-          sat->reconstructed.size() == pop.blocks[b].persons.size()) {
-        ++sat_agree;
-      }
+  for (size_t b = 0; b < std::min<size_t>(pop.blocks.size(), 40); ++b) {
+    auto sat = ReconstructBlockSat(exact[b], /*max_decisions=*/500000);
+    if (!sat.ok()) continue;
+    ++sat_checked;
+    // Agreement = SAT finds a solution exactly when CSP did, and its
+    // solution satisfies the same exact tables (checked inside the test
+    // suite; here: satisfiability + size).
+    if (sat->satisfiable &&
+        sat->reconstructed.size() == pop.blocks[b].persons.size()) {
+      ++sat_agree;
     }
   }
   std::printf(
-      "\nSAT back-end cross-check: %zu/%zu block solves reconstructed "
-      "consistently by the cardinality-encoding pipeline (dpll + cdcl).\n",
+      "\nSAT cross-check: %zu/%zu block solves reconstructed consistently "
+      "by the cardinality-encoding pipeline.\n",
       sat_agree, sat_checked);
 
-  // ---- SAT backend duel: chronological DPLL vs conflict-driven CDCL. ----
-  // Duel set: a handful of exact-table blocks (propagation-complete, both
-  // backends decide them in a few decisions) plus one perturbed infeasible
-  // block per escalating size. Same decision budget for every block and
-  // both backends.
+  // ---- SAT duel set: conflict-driven CDCL under one budget. ----
+  // Duel set: a handful of exact-table blocks (propagation-complete,
+  // decided in a few decisions) plus one perturbed infeasible block per
+  // escalating size. Same decision budget for every block.
   std::vector<BlockTables> duel_tables;
   std::vector<std::string> duel_labels;
+  std::vector<DuelOutcome> duel_expected;  // by construction
   for (size_t b = 0; b < std::min<size_t>(pop.blocks.size(), 4); ++b) {
     duel_tables.push_back(exact[b]);
+    duel_expected.push_back(DuelOutcome::kSat);
     duel_labels.push_back(
         StrFormat("exact block %zu (%zu persons)", b,
                   pop.blocks[b].persons.size()));
@@ -269,42 +264,25 @@ int Run(int argc, char** argv) {
     BlockTables t = Tabulate(one.blocks[0]);
     if (!PerturbOverloadedBucket(t, /*delta=*/4)) continue;
     duel_tables.push_back(t);
+    duel_expected.push_back(DuelOutcome::kUnsat);
     duel_labels.push_back(
         StrFormat("perturbed block (%zu persons, infeasible)", size));
   }
-  SatDuelLeg dpll = RunSatDuelLeg("dpll", duel_tables);
-  SatDuelLeg cdcl = RunSatDuelLeg("cdcl", duel_tables);
+  SatDuelLeg cdcl = RunSatDuelLeg(duel_tables);
 
-  std::printf("\n-- SAT backend duel (decision budget %zu per block) --\n",
+  std::printf("\n-- SAT duel set (decision budget %zu per block) --\n",
               kDuelBudget);
-  TextTable duel({"block", "dpll", "dpll dec", "cdcl", "cdcl dec"});
-  bool duel_status_agrees = true;
-  size_t dpll_solved_cdcl_too = 0;
+  TextTable duel({"block", "cdcl", "cdcl dec"});
   for (size_t i = 0; i < duel_tables.size(); ++i) {
-    duel.AddRow({duel_labels[i], OutcomeName(dpll.outcomes[i]),
-                 StrFormat("%zu", dpll.block_decisions[i]),
-                 OutcomeName(cdcl.outcomes[i]),
+    duel.AddRow({duel_labels[i], OutcomeName(cdcl.outcomes[i]),
                  StrFormat("%zu", cdcl.block_decisions[i])});
-    const bool dpll_decided = dpll.outcomes[i] == DuelOutcome::kSat ||
-                              dpll.outcomes[i] == DuelOutcome::kUnsat;
-    const bool cdcl_decided = cdcl.outcomes[i] == DuelOutcome::kSat ||
-                              cdcl.outcomes[i] == DuelOutcome::kUnsat;
-    if (dpll_decided && cdcl_decided &&
-        dpll.outcomes[i] != cdcl.outcomes[i]) {
-      duel_status_agrees = false;
-    }
-    if (dpll_decided && cdcl_decided) ++dpll_solved_cdcl_too;
   }
   duel.AddRow({"aggregate",
-               StrFormat("%zu/%zu solved", dpll.solved, duel_tables.size()),
-               StrFormat("%zu", dpll.decisions),
                StrFormat("%zu/%zu solved", cdcl.solved, duel_tables.size()),
                StrFormat("%zu", cdcl.decisions)});
   duel.Print();
-  std::printf(
-      "duel wall clock: dpll %.2fs (%zu conflicts), cdcl %.2fs "
-      "(%zu conflicts)\n",
-      dpll.wall_seconds, dpll.conflicts, cdcl.wall_seconds, cdcl.conflicts);
+  std::printf("duel wall clock: cdcl %.2fs (%zu conflicts)\n",
+              cdcl.wall_seconds, cdcl.conflicts);
 
   bench::ReportSpeedup("census reconstruction + linkage, 150 blocks",
                        serial_s, parallel_s, par.threads);
@@ -331,20 +309,13 @@ int Run(int argc, char** argv) {
   checks.CheckGreater(dp_confirmed[0] + 0.02, dp_confirmed[1],
                       "looser eps leaks at least as much as tighter eps");
   checks.Check(sat_checked > 0 && sat_agree == sat_checked,
-               "both SAT back-ends agree with the CSP engine on every "
-               "checked block");
+               "the SAT engine agrees with the CSP engine on every checked "
+               "block");
   checks.Check(cdcl.exhausted == 0,
                "CDCL decides every duel block within the budget");
-  checks.CheckGreater(static_cast<double>(dpll.exhausted), 0.5,
-                      "DPLL exhausts its decision budget on at least one "
-                      "duel block size");
-  checks.Check(dpll_solved_cdcl_too == dpll.solved,
-               "CDCL solves every duel block the DPLL baseline solves");
-  checks.CheckGreater(static_cast<double>(dpll.decisions),
-                      static_cast<double>(cdcl.decisions),
-                      "CDCL spends strictly fewer decisions in aggregate");
-  checks.Check(duel_status_agrees,
-               "backends agree on satisfiability wherever both decide");
+  checks.Check(cdcl.outcomes == duel_expected,
+               "CDCL finds every exact duel block SAT and every perturbed "
+               "one UNSAT");
   return bench::FinishBench(ctx, "E9", checks, par.get());
 }
 

@@ -4,14 +4,13 @@
 // crossover from near-perfect to failed reconstruction sits at
 // alpha/sqrt(n) of order 1.
 //
-// The accuracy series runs on the process-default LP backend (sparse
-// revised simplex unless --lp-backend overrides) with the warm-start
-// basis threaded across same-shaped decode LPs. A second "backend duel"
-// leg then replays one trial of the full grid on each backend by name and
-// compares pivot-work counters, wall clock, and LP objectives — the
-// dense tableau is the differential oracle, and the duel's shape checks
-// are the performance contract of the sparse engine (>= 10x less pivot
-// work, strictly faster, same objectives).
+// The accuracy series runs on the revised simplex with the warm-start
+// basis threaded across same-shaped decode LPs. A second "grid replay"
+// leg then re-solves one trial of the full grid with a fresh warm-start
+// chain and measures its pivot work: an absolute lp.pivot_work bound on
+// that deterministic count is the engine's performance contract, and the
+// replay's objectives must match the series' (a warm start may change
+// the path, never the optimum).
 
 #include <algorithm>
 #include <cmath>
@@ -23,19 +22,19 @@
 #include "common/table.h"
 #include "recon/attacks.h"
 #include "recon/oracle.h"
-#include "solver/lp_backend.h"
+#include "solver/lp.h"
 
 namespace pso {
 namespace {
 
-// The E2 grid: both legs iterate exactly these points so the duel solves
-// the same LP instances the accuracy series does.
+// The E2 grid: both legs iterate exactly these points so the replay
+// solves the same LP instances the accuracy series does.
 constexpr size_t kNs[] = {32, 64};
 constexpr double kCs[] = {0.0, 0.25, 0.5, 1.0, 2.0, 4.0};
 
 // One LP decode at grid point (n, c, trial): same seeding for the oracle
-// and query stream on every call, so repeated runs (and the two duel
-// backends) see bit-identical LP instances.
+// and query stream on every call, so repeated runs (and the replay) see
+// bit-identical LP instances.
 struct DecodePoint {
   double accuracy = 0.0;
   double residual = 0.0;
@@ -67,37 +66,40 @@ DecodePoint LpDecodeAt(size_t n, double c, size_t trial,
   return out;
 }
 
-// Replays one trial of the grid on the named backend, threading a
-// warm-start basis across the same-shaped decodes of each n. Returns
-// aggregate pivot work, pivot count, wall clock, and per-point residuals.
-struct DuelLeg {
+// Upper bound on the replay's lp.pivot_work. The count is deterministic
+// (5,859,667,464 when the bound was set); the ~20% headroom admits engine
+// tuning that moves it a little, not a regression toward dense-tableau
+// work (~10x more on this grid).
+constexpr uint64_t kReplayPivotWorkBound = 7000000000;
+
+// Replays one trial of the grid, threading a fresh warm-start basis
+// across the same-shaped decodes of each n. Returns the replay's pivot
+// work and pivot count and per-point residuals.
+struct GridReplay {
   uint64_t pivot_work = 0;
   uint64_t pivots = 0;
-  double wall_seconds = 0.0;
   std::vector<double> residuals;
   bool ok = true;
 };
 
-DuelLeg RunDuelLeg(const std::string& backend) {
-  DuelLeg leg;
+GridReplay ReplayGrid() {
+  GridReplay replay;
   const uint64_t work_before = metrics::GetCounter("lp.pivot_work").value();
   const uint64_t pivots_before = metrics::GetCounter("lp.pivots").value();
-  bench::WallTimer timer;
   for (size_t n : kNs) {
     LpBasis basis;  // reset per n: the decode LP shape changes with n
     recon::LpDecodeOptions options;
-    options.backend = backend;
     options.basis = &basis;
     for (double c : kCs) {
       DecodePoint p = LpDecodeAt(n, c, /*trial=*/0, options);
-      leg.ok = leg.ok && p.ok;
-      leg.residuals.push_back(p.residual);
+      replay.ok = replay.ok && p.ok;
+      replay.residuals.push_back(p.residual);
     }
   }
-  leg.wall_seconds = timer.Seconds();
-  leg.pivot_work = metrics::GetCounter("lp.pivot_work").value() - work_before;
-  leg.pivots = metrics::GetCounter("lp.pivots").value() - pivots_before;
-  return leg;
+  replay.pivot_work =
+      metrics::GetCounter("lp.pivot_work").value() - work_before;
+  replay.pivots = metrics::GetCounter("lp.pivots").value() - pivots_before;
+  return replay;
 }
 
 int Run(int argc, char** argv) {
@@ -116,6 +118,7 @@ int Run(int argc, char** argv) {
   double lp_small_noise = 0.0;
   double lp_big_noise = 1.0;
   double lsq_small_noise_big_n = 0.0;
+  std::vector<double> series_residuals;  // trial 0, in grid order
 
   for (size_t n : kNs) {
     const size_t queries = 5 * n;
@@ -131,6 +134,7 @@ int Run(int argc, char** argv) {
         DecodePoint p = bench::TimedIteration(
             [&] { return LpDecodeAt(n, c, t, lp_options); });
         if (p.ok) lp_acc.Add(p.accuracy);
+        if (t == 0) series_residuals.push_back(p.residual);
         // The LSQ decoder re-draws the same oracle/query stream.
         Rng rng(500 + 17 * t + n);
         auto secret = recon::RandomBits(n, rng);
@@ -167,33 +171,21 @@ int Run(int argc, char** argv) {
   }
   table.Print();
 
-  // ---- Backend duel: dense tableau vs sparse revised simplex. ----
-  DuelLeg dense = RunDuelLeg("dense");
-  DuelLeg sparse = RunDuelLeg("sparse");
-  const double work_ratio =
-      sparse.pivot_work > 0
-          ? static_cast<double>(dense.pivot_work) /
-                static_cast<double>(sparse.pivot_work)
-          : 0.0;
+  // ---- Grid replay: one trial, fresh warm-start chain. ----
+  GridReplay replay = ReplayGrid();
   double residual_gap = 0.0;
-  for (size_t i = 0; i < dense.residuals.size(); ++i) {
-    const double scale = std::max(1.0, std::fabs(dense.residuals[i]));
+  for (size_t i = 0; i < replay.residuals.size(); ++i) {
+    const double scale = std::max(1.0, std::fabs(series_residuals[i]));
     residual_gap = std::max(
         residual_gap,
-        std::fabs(dense.residuals[i] - sparse.residuals[i]) / scale);
+        std::fabs(series_residuals[i] - replay.residuals[i]) / scale);
   }
-  std::printf("\n-- backend duel (one trial of the grid per backend) --\n");
-  TextTable duel({"backend", "pivots", "pivot work", "wall (s)"});
-  duel.AddRow({"dense", StrFormat("%llu", (unsigned long long)dense.pivots),
-               StrFormat("%llu", (unsigned long long)dense.pivot_work),
-               StrFormat("%.3f", dense.wall_seconds)});
-  duel.AddRow({"sparse", StrFormat("%llu", (unsigned long long)sparse.pivots),
-               StrFormat("%llu", (unsigned long long)sparse.pivot_work),
-               StrFormat("%.3f", sparse.wall_seconds)});
-  duel.Print();
-  std::printf("pivot-work ratio (dense/sparse): %.2fx   max objective "
-              "disagreement: %.3g\n",
-              work_ratio, residual_gap);
+  std::printf("\n-- grid replay (one trial of the grid) --\n");
+  std::printf("pivots: %llu   pivot work: %llu (bound %llu)   max objective "
+              "gap vs the series: %.3g\n",
+              (unsigned long long)replay.pivots,
+              (unsigned long long)replay.pivot_work,
+              (unsigned long long)kReplayPivotWorkBound, residual_gap);
 
   bench::ShapeChecks checks;
   checks.CheckBetween(lp_small_noise, 0.93, 1.0,
@@ -204,13 +196,12 @@ int Run(int argc, char** argv) {
                       "LP decoding collapses at alpha = 4*sqrt(n)");
   checks.CheckGreater(lp_small_noise, lp_big_noise,
                       "crossover in c = alpha/sqrt(n) exists");
-  checks.Check(dense.ok && sparse.ok, "both backends solved every duel LP");
-  checks.CheckGreater(work_ratio, 10.0,
-                      "sparse revised simplex does >=10x less pivot work");
-  checks.CheckGreater(dense.wall_seconds, sparse.wall_seconds,
-                      "sparse is strictly faster on wall clock");
+  checks.Check(replay.ok, "the replay solved every LP");
+  checks.CheckBetween(static_cast<double>(replay.pivot_work), 1.0,
+                      static_cast<double>(kReplayPivotWorkBound),
+                      "replay lp.pivot_work within its absolute bound");
   checks.CheckBetween(residual_gap, 0.0, 1e-6,
-                      "backends agree on every LP objective");
+                      "replay objectives match the accuracy series");
   return bench::FinishBench(ctx, "E2", checks);
 }
 

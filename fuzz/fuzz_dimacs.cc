@@ -2,30 +2,27 @@
 //
 // Any byte string must either parse or fail with a Status — never crash.
 // Accepted formulas must round-trip through ToDimacs and, when small,
-// solve on BOTH registered backends: each SAT verdict must come with a
-// genuine model, and the backends must agree on satisfiability whenever
-// both decide within budget.
+// solve on BOTH the CDCL engine and its DPLL oracle: each SAT verdict
+// must come with a genuine model, and the two must agree on
+// satisfiability whenever both decide within budget.
 
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
 #include <string>
 
+#include "oracles/oracles.h"
 #include "solver/dimacs.h"
-#include "solver/sat_backend.h"
 
 namespace {
 
 // -1 = UNSAT, 1 = SAT, 0 = undecided (budget or error).
-int SolveOn(const char* backend, const pso::DimacsCnf& cnf) {
+int SolveOn(const pso::oracles::SatEngine& engine,
+            const pso::DimacsCnf& cnf) {
   pso::SatSolver solver = pso::BuildSatSolver(cnf);
   if (!solver.build_status().ok()) std::abort();
-  pso::Result<std::unique_ptr<pso::SatBackend>> engine =
-      pso::MakeSatBackend(backend);
-  if (!engine.ok()) std::abort();
   pso::SatSolveOptions options;
   options.max_decisions = 20000;
-  pso::Result<pso::SatSolution> sol = solver.SolveWith(**engine, options);
+  pso::Result<pso::SatSolution> sol = engine.solve(solver.instance(), options);
   if (!sol.ok()) {
     // The only acceptable failure on a well-formed formula is running
     // out of the decision budget.
@@ -64,10 +61,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     std::abort();
   }
 
-  // Small formulas: differential solve across the backend registry.
+  // Small formulas: differential solve, engine vs oracle.
   if (parsed->num_vars <= 24 && parsed->clauses.size() <= 64) {
-    int dpll = SolveOn("dpll", *parsed);
-    int cdcl = SolveOn("cdcl", *parsed);
+    int dpll = SolveOn(pso::oracles::kDpll, *parsed);
+    int cdcl = SolveOn(pso::oracles::kCdcl, *parsed);
     if (dpll != 0 && cdcl != 0 && dpll != cdcl) std::abort();
   }
   return 0;

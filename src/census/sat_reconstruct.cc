@@ -1,8 +1,8 @@
 #include "census/sat_reconstruct.h"
 
 #include <algorithm>
-#include <memory>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/metrics.h"
@@ -34,25 +34,9 @@ std::vector<size_t> FeasibleValues(const BlockTables& t) {
 
 }  // namespace
 
-Result<SatReconstruction> ReconstructBlockSat(const BlockTables& tables,
-                                              size_t max_decisions,
-                                              const std::string& backend) {
+BlockSatEncoding EncodeBlockSat(const BlockTables& tables) {
   const size_t n = static_cast<size_t>(tables.total);
-  trace::Span block_span("census.sat_block");
-  if (block_span.active()) {
-    block_span.Arg("persons", std::to_string(n));
-  }
-  SatReconstruction out;
-  if (n == 0) {
-    out.satisfiable = true;
-    return out;
-  }
-
   std::vector<size_t> candidates = FeasibleValues(tables);
-  if (candidates.empty()) {
-    out.satisfiable = false;
-    return out;
-  }
   const size_t m = candidates.size();
 
   // y[p][c]: person p takes candidate c.
@@ -179,14 +163,44 @@ Result<SatReconstruction> ReconstructBlockSat(const BlockTables& tables,
         static_cast<int64_t>(n / 2 + 1));
   }
 
-  Result<SatSolution> solved = [&]() -> Result<SatSolution> {
-    if (backend.empty()) return solver.Solve(max_decisions);
-    Result<std::unique_ptr<SatBackend>> engine = MakeSatBackend(backend);
-    if (!engine.ok()) return engine.status();
-    SatSolveOptions options;
-    options.max_decisions = max_decisions;
-    return solver.SolveWith(**engine, options);
-  }();
+  return BlockSatEncoding{std::move(solver), std::move(candidates), n};
+}
+
+std::vector<Record> BlockSatEncoding::Decode(
+    const std::vector<bool>& assignment) const {
+  const size_t m = candidates.size();
+  std::vector<Record> records;
+  for (size_t p = 0; p < persons; ++p) {
+    for (size_t c = 0; c < m; ++c) {
+      if (assignment[p * m + c]) {
+        records.push_back(DecodePerson(candidates[c]));
+        break;
+      }
+    }
+  }
+  return records;
+}
+
+Result<SatReconstruction> ReconstructBlockSat(const BlockTables& tables,
+                                              size_t max_decisions) {
+  const size_t n = static_cast<size_t>(tables.total);
+  trace::Span block_span("census.sat_block");
+  if (block_span.active()) {
+    block_span.Arg("persons", std::to_string(n));
+  }
+  SatReconstruction out;
+  if (n == 0) {
+    out.satisfiable = true;
+    return out;
+  }
+  BlockSatEncoding encoding = EncodeBlockSat(tables);
+  if (encoding.candidates.empty()) {
+    out.satisfiable = false;
+    return out;
+  }
+
+  Result<SatSolution> solved = encoding.solver.Solve(max_decisions);
+  out.variables = encoding.solver.num_vars();
   if (!solved.ok()) {
     if (solved.status().code() == StatusCode::kResourceExhausted) {
       // Budget ran out: a first-class outcome, not an error. The solver
@@ -194,7 +208,6 @@ Result<SatReconstruction> ReconstructBlockSat(const BlockTables& tables,
       metrics::GetCounter("census.sat_budget_exhausted").Add(1);
       out.budget_exhausted = true;
       out.decisions = max_decisions;
-      out.variables = solver.num_vars();
       return out;
     }
     return solved.status();
@@ -203,16 +216,8 @@ Result<SatReconstruction> ReconstructBlockSat(const BlockTables& tables,
   out.satisfiable = solved->satisfiable;
   out.decisions = solved->decisions;
   out.conflicts = solved->conflicts;
-  out.variables = solver.num_vars();
   if (solved->satisfiable) {
-    for (size_t p = 0; p < n; ++p) {
-      for (size_t c = 0; c < m; ++c) {
-        if (solved->assignment[p * m + c]) {
-          out.reconstructed.push_back(DecodePerson(candidates[c]));
-          break;
-        }
-      }
-    }
+    out.reconstructed = encoding.Decode(solved->assignment);
   }
   return out;
 }

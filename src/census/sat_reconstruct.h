@@ -13,11 +13,11 @@
 #ifndef PSO_CENSUS_SAT_RECONSTRUCT_H_
 #define PSO_CENSUS_SAT_RECONSTRUCT_H_
 
-#include <string>
 #include <vector>
 
 #include "census/tabulator.h"
 #include "common/result.h"
+#include "solver/sat.h"
 
 namespace pso::census {
 
@@ -35,14 +35,26 @@ struct SatReconstruction {
   size_t variables = 0;               ///< Total SAT variables (incl. aux).
 };
 
-/// Encodes `tables` as CNF and solves it. `max_decisions` bounds the
+/// The CNF of one block, and what it takes to read a model back as
+/// records: variable p * candidates.size() + c means "person p takes the
+/// person-domain value candidates[c]".
+struct BlockSatEncoding {
+  SatSolver solver;
+  std::vector<size_t> candidates;  ///< Values the zero cells allow.
+  size_t persons = 0;
+
+  /// The records a satisfying assignment of `solver` encodes.
+  std::vector<Record> Decode(const std::vector<bool>& assignment) const;
+};
+
+/// Encodes `tables` as CNF (see the file comment).
+BlockSatEncoding EncodeBlockSat(const BlockTables& tables);
+
+/// Encodes `tables` and solves the CNF. `max_decisions` bounds the
 /// search (0 = unlimited); when it runs out the call still succeeds, with
-/// `budget_exhausted` set on the result. `backend` names a registered
-/// SatBackend ("dpll", "cdcl"); empty uses the process default
-/// (DefaultSatBackendName(), steered by --sat-backend).
+/// `budget_exhausted` set on the result.
 [[nodiscard]] Result<SatReconstruction> ReconstructBlockSat(
-    const BlockTables& tables, size_t max_decisions = 0,
-    const std::string& backend = "");
+    const BlockTables& tables, size_t max_decisions = 0);
 
 }  // namespace pso::census
 

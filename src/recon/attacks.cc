@@ -41,6 +41,22 @@ std::vector<uint8_t> RoundAtHalf(const std::vector<double>& x) {
   return bits;
 }
 
+// The shape both recorded-transcript decoders require: one answer per
+// query, every query an indicator vector of length n.
+Status CheckTranscript(size_t n, const std::vector<SubsetQuery>& queries,
+                       const std::vector<double>& answers) {
+  if (answers.size() != queries.size()) {
+    return Status::InvalidArgument(
+        "transcript shape mismatch: queries != answers");
+  }
+  for (const SubsetQuery& q : queries) {
+    if (q.size() != n) {
+      return Status::InvalidArgument("transcript query length != n");
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Reconstruction ExhaustiveReconstruct(SubsetSumOracle& oracle, double alpha,
@@ -147,16 +163,9 @@ Result<Reconstruction> LpDecodeRecorded(size_t n,
                                         const std::vector<SubsetQuery>& queries,
                                         const std::vector<double>& answers,
                                         const LpDecodeOptions& options) {
+  Status shape = CheckTranscript(n, queries, answers);
+  if (!shape.ok()) return shape;
   const size_t num_queries = queries.size();
-  if (answers.size() != num_queries) {
-    return Status::InvalidArgument(
-        "transcript shape mismatch: queries != answers");
-  }
-  for (const SubsetQuery& q : queries) {
-    if (q.size() != n) {
-      return Status::InvalidArgument("transcript query length != n");
-    }
-  }
   metrics::GetCounter("recon.lp_decodes").Add(1);
   metrics::GetCounter("recon.queries").Add(num_queries);
   trace::Span decode_span("recon.lp_decode");
@@ -184,16 +193,12 @@ Result<Reconstruction> LpDecodeRecorded(size_t n,
     lp.AddConstraint(row, Relation::kEqual, answers[j]);
   }
 
-  const std::string backend_name =
-      options.backend.empty() ? DefaultLpBackendName() : options.backend;
-  Result<std::unique_ptr<LpBackend>> backend = MakeLpBackend(backend_name);
-  if (!backend.ok()) return backend.status();
   LpSolveOptions solve_options;
   if (options.basis != nullptr) {
     if (!options.basis->empty()) solve_options.warm_start = options.basis;
     solve_options.final_basis = options.basis;
   }
-  Result<LpSolution> solved = lp.SolveWith(**backend, solve_options);
+  Result<LpSolution> solved = lp.Solve(solve_options);
   if (!solved.ok()) return solved.status();
 
   Reconstruction out;
@@ -204,23 +209,15 @@ Result<Reconstruction> LpDecodeRecorded(size_t n,
   return out;
 }
 
-Reconstruction LeastSquaresReconstruct(SubsetSumOracle& oracle,
-                                       size_t num_queries, Rng& rng,
-                                       size_t iterations) {
-  QuerySet qs = DrawRandomQueries(oracle, num_queries, rng);
-  return LeastSquaresDecodeRecorded(oracle.n(), qs.queries, qs.answers,
-                                    iterations);
-}
+namespace {
 
-Reconstruction LeastSquaresDecodeRecorded(
-    size_t n, const std::vector<SubsetQuery>& queries,
-    const std::vector<double>& answers, size_t iterations) {
+// Projected-gradient least squares over a transcript that passed
+// CheckTranscript.
+Reconstruction LeastSquaresDecode(size_t n,
+                                  const std::vector<SubsetQuery>& queries,
+                                  const std::vector<double>& answers,
+                                  size_t iterations) {
   const size_t num_queries = queries.size();
-  PSO_CHECK_MSG(answers.size() == num_queries,
-                "transcript shape mismatch: queries != answers");
-  for (const SubsetQuery& q : queries) {
-    PSO_CHECK_MSG(q.size() == n, "transcript query length != n");
-  }
   metrics::GetCounter("recon.lsq_decodes").Add(1);
   metrics::GetCounter("recon.queries").Add(num_queries);
   metrics::ScopedSpan span("recon.lsq_decode");
@@ -285,6 +282,23 @@ Reconstruction LeastSquaresDecodeRecorded(
   out.queries_used = num_queries;
   out.decoder_residual = std::sqrt(rss);
   return out;
+}
+
+}  // namespace
+
+Reconstruction LeastSquaresReconstruct(SubsetSumOracle& oracle,
+                                       size_t num_queries, Rng& rng,
+                                       size_t iterations) {
+  QuerySet qs = DrawRandomQueries(oracle, num_queries, rng);
+  return LeastSquaresDecode(oracle.n(), qs.queries, qs.answers, iterations);
+}
+
+Result<Reconstruction> LeastSquaresDecodeRecorded(
+    size_t n, const std::vector<SubsetQuery>& queries,
+    const std::vector<double>& answers, size_t iterations) {
+  Status shape = CheckTranscript(n, queries, answers);
+  if (!shape.ok()) return shape;
+  return LeastSquaresDecode(n, queries, answers, iterations);
 }
 
 }  // namespace pso::recon

@@ -1,6 +1,8 @@
-// Conflict-driven clause learning SAT engine (the "cdcl" backend).
+// Conflict-driven clause learning: libpso's SAT engine.
 //
-// The census-scale successor to the chronological DPLL in sat.cc:
+// SatSolver::Solve (sat.h) is the usual way in; SolveCdcl is the same
+// engine on a plain SatInstance. The census-scale successor to a
+// chronological DPLL (kept as a test oracle in tests/oracles/):
 //  * two-watched-literal unit propagation (lazy watch repair, no
 //    occurrence scans on satisfied clauses);
 //  * first-UIP conflict analysis producing one learned clause per
@@ -24,7 +26,16 @@
 
 #include <cstddef>
 
+#include "common/result.h"
+#include "solver/sat.h"
+
 namespace pso {
+
+/// Decides `instance` (which must be well-formed; SatSolver's builder
+/// guarantees it). Returns kResourceExhausted when options.max_decisions
+/// ran out before an answer.
+[[nodiscard]] Result<SatSolution> SolveCdcl(const SatInstance& instance,
+                                            const SatSolveOptions& options);
 
 /// Multiplicative VSIDS decay: activities shrink by this factor per
 /// conflict (implemented as a growing bump increment plus rescaling).

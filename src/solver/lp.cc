@@ -1,10 +1,9 @@
 #include "solver/lp.h"
 
 #include <cmath>
-#include <memory>
 
 #include "common/str_util.h"
-#include "solver/lp_backend.h"
+#include "solver/revised_simplex.h"
 
 namespace pso {
 
@@ -63,22 +62,9 @@ void LpProblem::AddConstraint(
   instance_.rows.push_back(LpInstance::Row{coeffs, rel, rhs});
 }
 
-Result<LpSolution> LpProblem::Solve() const { return Solve(LpSolveOptions{}); }
-
 Result<LpSolution> LpProblem::Solve(const LpSolveOptions& options) const {
   if (!build_status_.ok()) return build_status_;
-  Result<std::unique_ptr<LpBackend>> backend =
-      MakeLpBackend(DefaultLpBackendName());
-  // The default name is always registered (SetDefaultLpBackend checks),
-  // but a failure here must still surface as a Status, not a crash.
-  if (!backend.ok()) return backend.status();
-  return (*backend)->Solve(instance_, options);
-}
-
-Result<LpSolution> LpProblem::SolveWith(const LpBackend& backend,
-                                        const LpSolveOptions& options) const {
-  if (!build_status_.ok()) return build_status_;
-  return backend.Solve(instance_, options);
+  return SolveRevisedSimplex(instance_, options);
 }
 
 LpProblem LpInstance::ToProblem() const {

@@ -1,11 +1,12 @@
-// Internal: instrumentation plumbing shared by the LP backends.
+// Internal: instrumentation plumbing of the LP engine.
 //
-// Not part of the public solver surface — include only from backend
-// implementations. Provides the pivot-trace sink feeding
+// Not part of the public solver surface — include only from simplex
+// implementations: the revised simplex and the dense-tableau test oracle
+// (tests/oracles/). Provides the pivot-trace sink feeding
 // LpSolution::pivot_trace plus the common per-solve counter scope, so
-// the dense and sparse backends publish an identical metric vocabulary
-// (lp.solves, lp.pivots, lp.pivot_work, per-phase iteration counts) and
-// differ only in their backend-specific counters.
+// both publish an identical metric vocabulary (lp.solves, lp.pivots,
+// lp.pivot_work, per-phase iteration counts) and differ only in their
+// implementation-specific counters.
 
 #ifndef PSO_SOLVER_LP_INTERNAL_H_
 #define PSO_SOLVER_LP_INTERNAL_H_
@@ -15,7 +16,7 @@
 #include "common/metrics.h"
 #include "common/str_util.h"
 #include "common/trace.h"
-#include "solver/lp_backend.h"
+#include "solver/lp.h"
 
 namespace pso::lp_internal {
 
@@ -23,7 +24,7 @@ namespace pso::lp_internal {
 // buffer keeps recording past this.
 inline constexpr size_t kMaxPivotInstants = 256;
 
-// Pivot-trace sink handed to a backend's pivot loop: a bounded ring of
+// Pivot-trace sink handed to a simplex pivot loop: a bounded ring of
 // audit records plus per-pivot trace instants. Null ring =>
 // introspection off, OnPivot costs one branch.
 struct PivotSink {
@@ -48,11 +49,10 @@ struct PivotSink {
 // Publishes one solve's shared counters to the global registry on every
 // exit path (optimal, infeasible, unbounded, iteration limit). Counters
 // are seed-deterministic totals; the wall-clock span is reported
-// separately. `pivot_work` is the backend's FLOPs-equivalent tally: the
-// number of matrix/vector cells it actually touched while pivoting —
-// dense tableau updates count full rows x cols, the revised simplex
-// counts traversed nonzeros — so the two backends are comparable on one
-// axis.
+// separately. `pivot_work` is the FLOPs-equivalent tally: the number of
+// matrix/vector cells actually touched while pivoting — the revised
+// simplex counts traversed nonzeros, the dense oracle full rows x cols —
+// so the two are comparable on one axis.
 struct SolveScope {
   size_t phase1_iterations = 0;
   size_t total_iterations = 0;

@@ -1,9 +1,8 @@
-// The "sparse" backend: a bounded-variable revised simplex over
-// column-sparse constraint storage with a product-form (eta-file) basis
-// inverse.
+// The LP engine: a bounded-variable revised simplex over column-sparse
+// constraint storage with a product-form (eta-file) basis inverse.
 //
-// Where the dense tableau updates every cell of an (m+1) x (cols+1) array
-// per pivot, this backend touches only the nonzeros that matter: FTRAN /
+// Where a dense tableau updates every cell of an (m+1) x (cols+1) array
+// per pivot, this engine touches only the nonzeros that matter: FTRAN /
 // BTRAN walk the eta file, pricing walks CSC columns, and upper bounds
 // live as bounds (not rows), so reconstruction L1-fit LPs run in the
 // query dimension instead of queries + bound rows. See revised_simplex.h
@@ -24,7 +23,6 @@
 #include "common/progress.h"
 #include "common/str_util.h"
 #include "common/trace.h"
-#include "solver/lp_backend.h"
 #include "solver/lp_internal.h"
 #include "solver/revised_simplex.h"
 #include "solver/sparse_matrix.h"
@@ -299,12 +297,11 @@ class SimplexState {
 
   // ---- Start bases -------------------------------------------------
 
-  // All-logical basis plus the same singleton crash the dense backend
-  // uses: an equality row whose +1-coefficient structural appears in no
-  // other row (and has no upper bound to violate) starts that structural
-  // basic. L1-fit instances (residual splitting u - v per query) crash
-  // completely this way and, with nonnegative query answers, start
-  // feasible — phase 1 is a no-op.
+  // All-logical basis plus a singleton crash: an equality row whose
+  // +1-coefficient structural appears in no other row (and has no upper
+  // bound to violate) starts that structural basic. L1-fit instances
+  // (residual splitting u - v per query) crash completely this way and,
+  // with nonnegative query answers, start feasible — phase 1 is a no-op.
   void ColdStart() {
     for (size_t j = 0; j < n_; ++j) {
       status_[j] = LpVarStatus::kAtLower;
@@ -694,37 +691,27 @@ class SimplexState {
   size_t* pivot_work_;
 };
 
-class RevisedSimplexBackend final : public LpBackend {
- public:
-  const char* name() const override { return "sparse"; }
-
-  Result<LpSolution> Solve(const LpInstance& model,
-                           const LpSolveOptions& options) const override {
-    lp_internal::SolveScope scope;
-    trace::Span solve_span("lp.solve");
-    std::unique_ptr<trace::RingBuffer<LpPivotStep>> pivot_ring;
-    if (solve_span.active()) {
-      solve_span.Arg("backend", "sparse");
-      solve_span.Arg("vars", std::to_string(model.variables.size()));
-      solve_span.Arg("constraints", std::to_string(model.rows.size()));
-      pivot_ring = std::make_unique<trace::RingBuffer<LpPivotStep>>(
-          kPivotTraceCapacity);
-    }
-    metrics::GetCounter("lp.sparse.solves").Add(1);
-    SimplexState state(model, &scope.pivot_work);
-    Result<LpSolution> result = state.Run(options, scope, pivot_ring.get());
-    if (result.ok() && pivot_ring != nullptr) {
-      result->pivot_trace = pivot_ring->Drain();
-      solve_span.Arg("pivots", std::to_string(result->iterations));
-    }
-    return result;
-  }
-};
-
 }  // namespace
 
-std::unique_ptr<LpBackend> MakeRevisedSimplexLpBackend() {
-  return std::make_unique<RevisedSimplexBackend>();
+Result<LpSolution> SolveRevisedSimplex(const LpInstance& model,
+                                       const LpSolveOptions& options) {
+  lp_internal::SolveScope scope;
+  trace::Span solve_span("lp.solve");
+  std::unique_ptr<trace::RingBuffer<LpPivotStep>> pivot_ring;
+  if (solve_span.active()) {
+    solve_span.Arg("vars", std::to_string(model.variables.size()));
+    solve_span.Arg("constraints", std::to_string(model.rows.size()));
+    pivot_ring = std::make_unique<trace::RingBuffer<LpPivotStep>>(
+        kPivotTraceCapacity);
+  }
+  metrics::GetCounter("lp.sparse.solves").Add(1);
+  SimplexState state(model, &scope.pivot_work);
+  Result<LpSolution> result = state.Run(options, scope, pivot_ring.get());
+  if (result.ok() && pivot_ring != nullptr) {
+    result->pivot_trace = pivot_ring->Drain();
+    solve_span.Arg("pivots", std::to_string(result->iterations));
+  }
+  return result;
 }
 
 }  // namespace pso

@@ -1,11 +1,10 @@
-// Sparse revised simplex ("sparse" LP backend) — shared tuning constants.
+// Sparse revised simplex: libpso's LP engine.
 //
-// The backend itself is reached through lp_backend.h
-// (MakeRevisedSimplexLpBackend / the "sparse" registry name); this header
-// only publishes the tuning constants tests need to craft instances that
-// cross specific solver regimes (e.g. enough pivots to force a periodic
-// refactorization, or a degenerate streak long enough to trip the
-// Bland's-rule fallback).
+// LpProblem::Solve (lp.h) is the usual way in; SolveRevisedSimplex is the
+// same engine on a plain LpInstance. The header also publishes the tuning
+// constants tests need to craft instances that cross specific solver
+// regimes (e.g. enough pivots to force a periodic refactorization, or a
+// degenerate streak long enough to trip the Bland's-rule fallback).
 //
 // Algorithm sketch (details in revised_simplex.cc):
 //   - Bounded-variable formulation: every constraint row i gets a logical
@@ -29,6 +28,21 @@
 
 #include <cstddef>
 
+#include "common/result.h"
+#include "solver/lp.h"
+
+namespace pso {
+
+/// Solves `model` to optimality. `model` must be well-formed (LpProblem's
+/// builder and the lp_io decoder both guarantee that). Returns
+/// kInfeasible when no point satisfies the constraints, kUnbounded when
+/// the objective improves without bound, and kInternal on iteration-limit
+/// exhaustion.
+[[nodiscard]] Result<LpSolution> SolveRevisedSimplex(
+    const LpInstance& model, const LpSolveOptions& options);
+
+}  // namespace pso
+
 namespace pso::revised_simplex_internal {
 
 /// Pivots between from-scratch basis refactorizations. Between refreshes
@@ -36,7 +50,7 @@ namespace pso::revised_simplex_internal {
 inline constexpr size_t kRefactorInterval = 64;
 
 /// Degenerate (zero-step) pivots tolerated before pricing switches from
-/// Dantzig to Bland's rule. Matches the dense backend's fallback.
+/// Dantzig to Bland's rule.
 inline constexpr size_t kBlandStreak = 64;
 
 }  // namespace pso::revised_simplex_internal

@@ -1,6 +1,7 @@
-// Internals shared by the SAT backends (dpll in sat.cc, cdcl in
-// cdcl.cc): the tri-state assignment cell, the per-solve trace budget,
-// and the scope guard publishing search counters on every exit path.
+// Internals shared by the CDCL engine (cdcl.cc) and the DPLL test oracle
+// (tests/oracles/): the tri-state assignment cell, the per-solve trace
+// budget, and the scope guard publishing search counters on every exit
+// path.
 
 #ifndef PSO_SOLVER_SAT_INTERNAL_H_
 #define PSO_SOLVER_SAT_INTERNAL_H_
@@ -9,7 +10,7 @@
 #include <cstdint>
 
 #include "common/metrics.h"
-#include "solver/sat_backend.h"
+#include "solver/sat.h"
 
 namespace pso::sat_internal {
 
@@ -20,7 +21,7 @@ enum class Assign : int8_t { kUnset = -1, kFalse = 0, kTrue = 1 };
 /// trace timeline; the step ring keeps recording past this.
 inline constexpr size_t kMaxSatInstants = 256;
 
-/// Search totals a backend accumulates during one solve. The totals are
+/// Search totals a solver accumulates during one solve. The totals are
 /// input-deterministic, so the metric registry's sums stay reproducible.
 struct SearchStats {
   size_t decisions = 0;
@@ -43,19 +44,19 @@ struct SearchStats {
 };
 
 /// Publishes one solve's counters on destruction (every exit path,
-/// including kResourceExhausted). `backend_solves_counter` is the
-/// per-backend name, e.g. "sat.dpll.solves"; the CDCL-only counters are
+/// including kResourceExhausted). `solves_counter` is the
+/// per-solver name, e.g. "sat.cdcl.solves"; the CDCL-only counters are
 /// published only when `cdcl` is set, so DPLL solves do not materialize
 /// them in the registry.
 struct MetricsPublisher {
   const SearchStats* stats;
-  const char* backend_solves_counter;
+  const char* solves_counter;
   bool cdcl = false;
   metrics::ScopedSpan span{"sat.solve"};
 
   ~MetricsPublisher() {
     metrics::GetCounter("sat.solves").Add(1);
-    metrics::GetCounter(backend_solves_counter).Add(1);
+    metrics::GetCounter(solves_counter).Add(1);
     metrics::GetCounter("sat.decisions").Add(stats->decisions);
     metrics::GetCounter("sat.propagations").Add(stats->propagations);
     metrics::GetCounter("sat.backtracks").Add(stats->backtracks);

@@ -1,32 +1,31 @@
-// Tests for the simplex LP solvers. Every scenario runs against each
-// registered backend (the dense tableau and the sparse revised simplex)
-// through the same LpProblem front end, so the suite doubles as the
-// backends' shared conformance contract.
+// Tests for the simplex LP solvers. Every scenario runs against the
+// revised simplex and its dense-tableau oracle on the same LpProblem, so
+// the suite doubles as their shared conformance contract.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
+#include <string>
 #include <tuple>
 
 #include "common/rng.h"
+#include "oracles/oracles.h"
 #include "solver/lp.h"
 
 namespace pso {
 namespace {
 
-// Fixture parameterized on the backend registry name; Solve() routes
-// through LpProblem::SolveWith so build validation still applies.
-class LpBackendTest : public ::testing::TestWithParam<const char*> {
+// Fixture parameterized on the solver; Solve() checks the builder status
+// first, as LpProblem::Solve does.
+class LpEngineTest : public ::testing::TestWithParam<oracles::LpEngine> {
  protected:
   Result<LpSolution> Solve(const LpProblem& lp) {
-    Result<std::unique_ptr<LpBackend>> backend = MakeLpBackend(GetParam());
-    if (!backend.ok()) return backend.status();
-    return lp.SolveWith(**backend, LpSolveOptions{});
+    if (!lp.build_status().ok()) return lp.build_status();
+    return GetParam().solve(lp.instance(), LpSolveOptions{});
   }
 };
 
-TEST_P(LpBackendTest, SimpleTwoVariableMaximization) {
+TEST_P(LpEngineTest, SimpleTwoVariableMaximization) {
   // max x + y  s.t.  x + 2y <= 4,  3x + y <= 6,  x,y >= 0.
   // As minimization of -(x+y); optimum at (8/5, 6/5), value 14/5.
   LpProblem lp;
@@ -41,7 +40,7 @@ TEST_P(LpBackendTest, SimpleTwoVariableMaximization) {
   EXPECT_NEAR(sol->values[y], 6.0 / 5.0, 1e-7);
 }
 
-TEST_P(LpBackendTest, EqualityConstraint) {
+TEST_P(LpEngineTest, EqualityConstraint) {
   // min x + y  s.t.  x + y = 3, x <= 2, y <= 2.
   LpProblem lp;
   size_t x = lp.AddVariable(0, 2.0, 1.0);
@@ -53,7 +52,7 @@ TEST_P(LpBackendTest, EqualityConstraint) {
   EXPECT_NEAR(sol->values[x] + sol->values[y], 3.0, 1e-7);
 }
 
-TEST_P(LpBackendTest, GreaterEqualConstraint) {
+TEST_P(LpEngineTest, GreaterEqualConstraint) {
   // min 2x + y  s.t.  x + y >= 4, x >= 0, y >= 0. Optimum (0,4) value 4.
   LpProblem lp;
   size_t x = lp.AddVariable(0, LpProblem::kInfinity, 2.0);
@@ -65,7 +64,7 @@ TEST_P(LpBackendTest, GreaterEqualConstraint) {
   EXPECT_NEAR(sol->values[y], 4.0, 1e-7);
 }
 
-TEST_P(LpBackendTest, NonZeroLowerBounds) {
+TEST_P(LpEngineTest, NonZeroLowerBounds) {
   // min x  s.t.  x >= 5 via bounds. Optimum 5.
   LpProblem lp;
   size_t x = lp.AddVariable(5.0, 10.0, 1.0);
@@ -74,7 +73,7 @@ TEST_P(LpBackendTest, NonZeroLowerBounds) {
   EXPECT_NEAR(sol->values[x], 5.0, 1e-9);
 }
 
-TEST_P(LpBackendTest, NegativeLowerBounds) {
+TEST_P(LpEngineTest, NegativeLowerBounds) {
   // min x  s.t.  x in [-3, 3]. Optimum -3.
   LpProblem lp;
   size_t x = lp.AddVariable(-3.0, 3.0, 1.0);
@@ -83,7 +82,7 @@ TEST_P(LpBackendTest, NegativeLowerBounds) {
   EXPECT_NEAR(sol->values[x], -3.0, 1e-9);
 }
 
-TEST_P(LpBackendTest, InfeasibleDetected) {
+TEST_P(LpEngineTest, InfeasibleDetected) {
   LpProblem lp;
   size_t x = lp.AddVariable(0, 1.0, 0.0);
   lp.AddConstraint({{x, 1.0}}, Relation::kGreaterEq, 2.0);
@@ -92,7 +91,7 @@ TEST_P(LpBackendTest, InfeasibleDetected) {
   EXPECT_EQ(sol.status().code(), StatusCode::kInfeasible);
 }
 
-TEST_P(LpBackendTest, ContradictoryEqualitiesInfeasible) {
+TEST_P(LpEngineTest, ContradictoryEqualitiesInfeasible) {
   LpProblem lp;
   size_t x = lp.AddVariable(0, LpProblem::kInfinity, 0.0);
   lp.AddConstraint({{x, 1.0}}, Relation::kEqual, 1.0);
@@ -100,7 +99,7 @@ TEST_P(LpBackendTest, ContradictoryEqualitiesInfeasible) {
   EXPECT_FALSE(Solve(lp).ok());
 }
 
-TEST_P(LpBackendTest, UnboundedDetected) {
+TEST_P(LpEngineTest, UnboundedDetected) {
   // min -x with x unbounded above.
   LpProblem lp;
   lp.AddVariable(0, LpProblem::kInfinity, -1.0);
@@ -109,7 +108,7 @@ TEST_P(LpBackendTest, UnboundedDetected) {
   EXPECT_EQ(sol.status().code(), StatusCode::kUnbounded);
 }
 
-TEST_P(LpBackendTest, UnboundedWithConstraintsIsNotInternal) {
+TEST_P(LpEngineTest, UnboundedWithConstraintsIsNotInternal) {
   // min -x - y  s.t.  x - y <= 1, x,y >= 0: the ray (t, t) improves the
   // objective forever. Must classify as kUnbounded — a model property —
   // never as kInternal (a solver failure).
@@ -123,7 +122,7 @@ TEST_P(LpBackendTest, UnboundedWithConstraintsIsNotInternal) {
   EXPECT_NE(sol.status().code(), StatusCode::kInternal);
 }
 
-TEST_P(LpBackendTest, BoundingTheRayRestoresOptimality) {
+TEST_P(LpEngineTest, BoundingTheRayRestoresOptimality) {
   // The same model with an upper bound on each variable is bounded again:
   // regression pair for the unbounded classifier.
   LpProblem lp;
@@ -135,7 +134,7 @@ TEST_P(LpBackendTest, BoundingTheRayRestoresOptimality) {
   EXPECT_NEAR(sol->objective, -20.0, 1e-7);
 }
 
-TEST_P(LpBackendTest, RedundantConstraintsHandled) {
+TEST_P(LpEngineTest, RedundantConstraintsHandled) {
   LpProblem lp;
   size_t x = lp.AddVariable(0, LpProblem::kInfinity, 1.0);
   lp.AddConstraint({{x, 1.0}}, Relation::kEqual, 2.0);
@@ -145,7 +144,7 @@ TEST_P(LpBackendTest, RedundantConstraintsHandled) {
   EXPECT_NEAR(sol->values[x], 2.0, 1e-7);
 }
 
-TEST_P(LpBackendTest, DegenerateVertexTerminates) {
+TEST_P(LpEngineTest, DegenerateVertexTerminates) {
   // Multiple constraints meeting at the optimum (degeneracy stress).
   LpProblem lp;
   size_t x = lp.AddVariable(0, LpProblem::kInfinity, -1.0);
@@ -159,7 +158,7 @@ TEST_P(LpBackendTest, DegenerateVertexTerminates) {
   EXPECT_NEAR(sol->objective, -2.0, 1e-7);
 }
 
-TEST_P(LpBackendTest, L1FitRecoversPoint) {
+TEST_P(LpEngineTest, L1FitRecoversPoint) {
   // min |x - 3| + |y + 1| encoded with slack variables.
   LpProblem lp;
   size_t x = lp.AddVariable(-10, 10, 0.0);
@@ -177,19 +176,18 @@ TEST_P(LpBackendTest, L1FitRecoversPoint) {
   EXPECT_NEAR(sol->values[y], -1.0, 1e-7);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, LpBackendTest,
-                         ::testing::Values("dense", "sparse"),
-                         [](const auto& info) { return info.param; });
+INSTANTIATE_TEST_SUITE_P(Engines, LpEngineTest,
+                         ::testing::Values(oracles::kDenseTableau,
+                                           oracles::kRevisedSimplex),
+                         [](const auto& info) { return info.param.name; });
 
 // Property sweep: random feasible systems must solve and satisfy all
-// constraints at the reported solution — on every backend.
+// constraints at the reported solution — on both solvers.
 class LpRandomTest
-    : public ::testing::TestWithParam<std::tuple<int, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<int, oracles::LpEngine>> {};
 
 TEST_P(LpRandomTest, SolutionSatisfiesConstraints) {
-  const auto& [seed, backend_name] = GetParam();
-  Result<std::unique_ptr<LpBackend>> backend = MakeLpBackend(backend_name);
-  ASSERT_TRUE(backend.ok());
+  const auto& [seed, engine] = GetParam();
   Rng rng(1000 + seed);
   const size_t n = 6;
   const size_t m = 8;
@@ -220,7 +218,8 @@ TEST_P(LpRandomTest, SolutionSatisfiesConstraints) {
     lp.AddConstraint(row.coeffs, row.rel, row.rhs);
     rows.push_back(std::move(row));
   }
-  auto sol = lp.SolveWith(**backend, LpSolveOptions{});
+  ASSERT_TRUE(lp.build_status().ok());
+  auto sol = engine.solve(lp.instance(), LpSolveOptions{});
   ASSERT_TRUE(sol.ok()) << sol.status().ToString();
   for (const auto& row : rows) {
     double lhs = 0.0;
@@ -236,9 +235,10 @@ TEST_P(LpRandomTest, SolutionSatisfiesConstraints) {
 INSTANTIATE_TEST_SUITE_P(
     Seeds, LpRandomTest,
     ::testing::Combine(::testing::Range(0, 10),
-                       ::testing::Values("dense", "sparse")),
+                       ::testing::Values(oracles::kDenseTableau,
+                                         oracles::kRevisedSimplex)),
     [](const auto& info) {
-      return std::string(std::get<1>(info.param)) + "_" +
+      return std::string(std::get<1>(info.param).name) + "_" +
              std::to_string(std::get<0>(info.param));
     });
 

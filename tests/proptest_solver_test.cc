@@ -2,13 +2,14 @@
 // against an independent brute-force oracle on randomized tiny
 // instances (ctest label: proptest):
 //
-//   * LP simplex vs exhaustive vertex enumeration (a bounded feasible
+//   * the revised simplex and its dense-tableau oracle vs exhaustive
+//     vertex enumeration (a bounded feasible
 //     region's optimum is attained at a vertex, and every vertex is the
 //     intersection of n active planes from the bound/constraint set);
-//   * both SAT backends (DPLL and CDCL) vs exhaustive truth-table
-//     search, and vs each other (status must agree exactly);
+//   * CDCL and its DPLL oracle vs exhaustive truth-table search, and vs
+//     each other (status must agree exactly);
 //   * count-CSP vs a SAT cross-encoding of the same instance solved by
-//     each backend (and vs direct multiset enumeration).
+//     each of the two (and vs direct multiset enumeration).
 //
 // All cases derive from pinned Rng::StreamAt seeds; see proptest.h.
 
@@ -16,17 +17,17 @@
 
 #include <cmath>
 #include <limits>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/str_util.h"
+#include "oracles/oracles.h"
 #include "proptest.h"
 #include "solver/csp.h"
 #include "solver/lp.h"
 #include "solver/lp_io.h"
 #include "solver/sat.h"
-#include "solver/sat_backend.h"
 
 namespace pso {
 namespace {
@@ -178,21 +179,24 @@ LpOracleResult BruteForceLp(const LpInstance& inst) {
   return out;
 }
 
-// Every generated instance is solved by BOTH registered backends; the
-// statuses must match exactly (optimal / kInfeasible / kUnbounded) and
-// optimal objectives must agree. Box-bounded instances are additionally
-// checked against the brute-force vertex oracle.
-struct BackendOutcome {
+// Every generated instance is solved by the revised simplex AND the
+// dense-tableau oracle; the statuses must match exactly (optimal /
+// kInfeasible / kUnbounded) and optimal objectives must agree.
+// Box-bounded instances are additionally checked, each solver on its own,
+// against the brute-force vertex oracle.
+struct SolverOutcome {
+  const char* name = "";
   Status status;  // default-constructed OK
   double objective = 0.0;
 
   bool ok() const { return status.ok(); }
 };
 
-BackendOutcome SolveOn(const char* backend, const LpInstance& inst) {
-  BackendOutcome out;
-  Result<std::unique_ptr<LpBackend>> be = MakeLpBackend(backend);
-  Result<LpSolution> got = (*be)->Solve(inst, LpSolveOptions{});
+SolverOutcome SolveOn(const oracles::LpEngine& engine,
+                      const LpInstance& inst) {
+  SolverOutcome out;
+  out.name = engine.name;
+  Result<LpSolution> got = engine.solve(inst, LpSolveOptions{});
   if (got.ok()) {
     out.objective = got->objective;
   } else {
@@ -213,14 +217,14 @@ TEST(LpDifferentialTest, BackendsAgreeAndMatchVertexEnumeration) {
                        /*max_scale=*/4, /*min_scale=*/1};
   EXPECT_TRUE(proptest::ForAll<LpInstance>(
       cfg, GenTinyLp, [](const LpInstance& inst) -> std::string {
-        BackendOutcome dense = SolveOn("dense", inst);
-        BackendOutcome sparse = SolveOn("sparse", inst);
-        for (const BackendOutcome* r : {&dense, &sparse}) {
+        const SolverOutcome dense = SolveOn(oracles::kDenseTableau, inst);
+        const SolverOutcome sparse = SolveOn(oracles::kRevisedSimplex, inst);
+        for (const SolverOutcome* r : {&dense, &sparse}) {
           if (!r->ok() &&
               r->status.code() != StatusCode::kInfeasible &&
               r->status.code() != StatusCode::kUnbounded) {
-            return "solver returned unexpected status " +
-                   r->status.ToString();
+            return StrFormat("%s returned unexpected status %s", r->name,
+                             r->status.ToString().c_str());
           }
         }
         if (dense.status.code() != sparse.status.code()) {
@@ -233,24 +237,25 @@ TEST(LpDifferentialTest, BackendsAgreeAndMatchVertexEnumeration) {
         if (dense.ok() &&
             std::fabs(dense.objective - sparse.objective) > 1e-6) {
           return StrFormat(
-              "backends disagree on objective: dense=%.9g sparse=%.9g",
+              "solvers disagree on objective: dense=%.9g sparse=%.9g",
               dense.objective, sparse.objective);
         }
         if (!BoxBounded(inst)) return "";  // oracle needs a polytope
 
         LpOracleResult oracle = BruteForceLp(inst);
-        if (dense.ok() != oracle.feasible) {
-          return StrFormat(
-              "feasibility disagrees: simplex=%s oracle=%s (%zu vars, %zu "
-              "rows)",
-              dense.ok() ? "feasible" : "infeasible",
-              oracle.feasible ? "feasible" : "infeasible",
-              inst.variables.size(), inst.rows.size());
-        }
-        if (dense.ok() &&
-            std::fabs(dense.objective - oracle.objective) > 1e-5) {
-          return StrFormat("objective disagrees: simplex=%.9g oracle=%.9g",
-                           dense.objective, oracle.objective);
+        for (const SolverOutcome* r : {&dense, &sparse}) {
+          if (r->ok() != oracle.feasible) {
+            return StrFormat(
+                "feasibility disagrees: %s=%s oracle=%s (%zu vars, %zu "
+                "rows)",
+                r->name, r->ok() ? "feasible" : "infeasible",
+                oracle.feasible ? "feasible" : "infeasible",
+                inst.variables.size(), inst.rows.size());
+          }
+          if (r->ok() && std::fabs(r->objective - oracle.objective) > 1e-5) {
+            return StrFormat("objective disagrees: %s=%.9g oracle=%.9g",
+                             r->name, r->objective, oracle.objective);
+          }
         }
         return "";
       }));
@@ -310,21 +315,20 @@ TEST(SatDifferentialTest, BackendsMatchExhaustiveSearchAndEachOther) {
             break;
           }
         }
-        for (const char* backend : {"dpll", "cdcl"}) {
+        for (const oracles::SatEngine& engine :
+             {oracles::kDpll, oracles::kCdcl}) {
           SatSolver solver(cnf.num_vars);
           for (const auto& clause : cnf.clauses) solver.AddClause(clause);
-          Result<std::unique_ptr<SatBackend>> engine =
-              MakeSatBackend(backend);
-          if (!engine.ok()) {
-            return "backend error: " + engine.status().ToString();
+          if (!solver.build_status().ok()) {
+            return "build error: " + solver.build_status().ToString();
           }
-          Result<SatSolution> got = solver.SolveWith(**engine, {});
+          Result<SatSolution> got = engine.solve(solver.instance(), {});
           if (!got.ok()) return "solver error: " + got.status().ToString();
           if (got->satisfiable != oracle_sat) {
             return StrFormat(
                 "satisfiability disagrees: %s=%d exhaustive=%d (%u vars, "
                 "%zu clauses)",
-                backend, got->satisfiable ? 1 : 0, oracle_sat ? 1 : 0,
+                engine.name, got->satisfiable ? 1 : 0, oracle_sat ? 1 : 0,
                 cnf.num_vars, cnf.clauses.size());
           }
           if (got->satisfiable) {
@@ -334,7 +338,7 @@ TEST(SatDifferentialTest, BackendsMatchExhaustiveSearchAndEachOther) {
             }
             if (!AssignmentSatisfies(cnf, mask)) {
               return StrFormat("%s's model does not satisfy the formula",
-                               backend);
+                               engine.name);
             }
           }
         }
@@ -378,8 +382,8 @@ CspCase GenCsp(Rng& rng, size_t scale) {
 // an auxiliary "matches constraint k" literal per variable, and Sinz
 // cardinality bounds over the auxiliaries — the same construction
 // census::ReconstructBlockSat uses, exercised here against the CSP and
-// solved by the named backend.
-bool CspSatisfiableViaSat(const CspCase& c, const char* backend,
+// solved by `engine`.
+bool CspSatisfiableViaSat(const CspCase& c, const oracles::SatEngine& engine,
                           std::string* error) {
   SatSolver solver(static_cast<uint32_t>(c.num_vars * c.domain));
   auto x = [&](size_t var, size_t val) {
@@ -407,12 +411,11 @@ bool CspSatisfiableViaSat(const CspCase& c, const char* backend,
     solver.AddAtMostK(ys, static_cast<size_t>(count.hi));
     solver.AddAtLeastK(ys, static_cast<size_t>(count.lo));
   }
-  Result<std::unique_ptr<SatBackend>> engine = MakeSatBackend(backend);
-  if (!engine.ok()) {
-    *error = "backend error: " + engine.status().ToString();
+  if (!solver.build_status().ok()) {
+    *error = "SAT encoding error: " + solver.build_status().ToString();
     return false;
   }
-  Result<SatSolution> got = solver.SolveWith(**engine, {});
+  Result<SatSolution> got = engine.solve(solver.instance(), {});
   if (!got.ok()) {
     *error = "SAT encoding error: " + got.status().ToString();
     return false;
@@ -470,14 +473,15 @@ TEST(CspDifferentialTest, CspMatchesSatCrossEncodingAndBruteForce) {
               sols.size(), brute, c.num_vars, c.domain, c.counts.size());
         }
 
-        for (const char* backend : {"dpll", "cdcl"}) {
+        for (const oracles::SatEngine& engine :
+             {oracles::kDpll, oracles::kCdcl}) {
           std::string sat_error;
-          bool sat = CspSatisfiableViaSat(c, backend, &sat_error);
+          bool sat = CspSatisfiableViaSat(c, engine, &sat_error);
           if (!sat_error.empty()) return sat_error;
           if (sat != !sols.empty()) {
             return StrFormat(
                 "satisfiability disagrees: sat-encoding(%s)=%d csp=%d",
-                backend, sat ? 1 : 0, sols.empty() ? 0 : 1);
+                engine.name, sat ? 1 : 0, sols.empty() ? 0 : 1);
           }
         }
         return "";

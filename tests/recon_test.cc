@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "recon/attacks.h"
 #include "recon/oracle.h"
@@ -153,6 +155,43 @@ TEST(LeastSquaresTest, LargeNoiseDefeatsReconstruction) {
   Reconstruction r = LeastSquaresReconstruct(oracle, 5 * n, rng);
   double agree = FractionAgree(r.estimate, secret);
   EXPECT_LT(agree, 0.8);  // far from the <5%-error regime
+}
+
+// Both recorded-transcript decoders reject a malformed transcript with
+// InvalidArgument (a transcript may come off the wire) and still decode
+// a well-formed one.
+TEST(RecordedDecodeTest, MalformedTranscriptIsInvalidArgument) {
+  const size_t n = 4;
+  const std::vector<SubsetQuery> queries = {
+      {1, 0, 1, 0}, {0, 1, 1, 0}, {1, 1, 0, 1}};
+  const std::vector<double> answers = {1.0, 1.0, 2.0};
+  const std::vector<double> short_answers = {1.0, 1.0};
+  std::vector<SubsetQuery> ragged = queries;
+  ragged[1].push_back(1);  // length n + 1
+
+  auto lp = [](size_t len, const std::vector<SubsetQuery>& q,
+               const std::vector<double>& a) {
+    return LpDecodeRecorded(len, q, a);
+  };
+  auto lsq = [](size_t len, const std::vector<SubsetQuery>& q,
+                const std::vector<double>& a) {
+    return LeastSquaresDecodeRecorded(len, q, a);
+  };
+  for (const auto& [name, decode] :
+       {std::pair{"lp", +lp}, std::pair{"lsq", +lsq}}) {
+    Result<Reconstruction> mismatch = decode(n, queries, short_answers);
+    ASSERT_FALSE(mismatch.ok()) << name;
+    EXPECT_EQ(mismatch.status().code(), StatusCode::kInvalidArgument)
+        << name;
+    Result<Reconstruction> wrong_length = decode(n, ragged, answers);
+    ASSERT_FALSE(wrong_length.ok()) << name;
+    EXPECT_EQ(wrong_length.status().code(), StatusCode::kInvalidArgument)
+        << name;
+    Result<Reconstruction> good = decode(n, queries, answers);
+    ASSERT_TRUE(good.ok()) << name << ": " << good.status().ToString();
+    EXPECT_EQ(good->estimate.size(), n) << name;
+    EXPECT_EQ(good->queries_used, queries.size()) << name;
+  }
 }
 
 // Property sweep over n: exhaustive attack with exact answers always

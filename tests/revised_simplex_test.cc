@@ -1,33 +1,24 @@
-// Targeted tests for the sparse revised-simplex backend: anti-cycling on
+// Targeted tests for the revised simplex, the LP engine: anti-cycling on
 // classic degenerate instances, eta-file refactorization on long solves,
 // warm starts (identical instance and after appending constraints),
 // recovery from singular / mis-shaped warm bases, and the degenerate
 // shapes (empty, 1x1, all-slack) that never show up in the random
-// differential suites. The dense tableau backend serves as the oracle
-// throughout.
+// differential suites. The dense-tableau oracle (tests/oracles/) serves
+// as the reference throughout.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "oracles/oracles.h"
 #include "solver/lp.h"
 #include "solver/revised_simplex.h"
 
 namespace pso {
 namespace {
-
-std::unique_ptr<LpBackend> Sparse() {
-  Result<std::unique_ptr<LpBackend>> r = MakeLpBackend("sparse");
-  return std::move(*r);
-}
-std::unique_ptr<LpBackend> Dense() {
-  Result<std::unique_ptr<LpBackend>> r = MakeLpBackend("dense");
-  return std::move(*r);
-}
 
 uint64_t CounterValue(const char* name) {
   return metrics::GetCounter(name).value();
@@ -52,7 +43,7 @@ LpProblem BealeCyclingLp() {
 
 TEST(RevisedSimplexTest, BealeDegenerateCyclingInstance) {
   LpProblem lp = BealeCyclingLp();
-  Result<LpSolution> got = lp.SolveWith(*Sparse(), LpSolveOptions{});
+  Result<LpSolution> got = lp.Solve();
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_NEAR(got->objective, -0.05, 1e-9);
   // Termination must come from optimality, not the iteration cap.
@@ -85,14 +76,14 @@ LpProblem L1FitLp(size_t n, size_t q, uint64_t seed) {
 TEST(RevisedSimplexTest, LongSolveCrossesRefactorizationInterval) {
   LpProblem lp = L1FitLp(/*n=*/16, /*q=*/96, /*seed=*/71);
   const uint64_t refactors_before = CounterValue("lp.refactorizations");
-  Result<LpSolution> sparse = lp.SolveWith(*Sparse(), LpSolveOptions{});
+  Result<LpSolution> sparse = lp.Solve();
   ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
   ASSERT_GT(sparse->iterations, revised_simplex_internal::kRefactorInterval)
       << "instance too easy to exercise refactorization";
   // At least one periodic refactorization beyond the initial one.
   EXPECT_GE(CounterValue("lp.refactorizations") - refactors_before, 2u);
 
-  Result<LpSolution> dense = lp.SolveWith(*Dense(), LpSolveOptions{});
+  Result<LpSolution> dense = oracles::SolveDenseTableau(lp.instance(), {});
   ASSERT_TRUE(dense.ok()) << dense.status().ToString();
   EXPECT_NEAR(sparse->objective, dense->objective, 1e-7);
 }
@@ -102,14 +93,14 @@ TEST(RevisedSimplexTest, WarmRestartOfSolvedInstanceTakesNoPivots) {
   LpBasis basis;
   LpSolveOptions first;
   first.final_basis = &basis;
-  Result<LpSolution> cold = lp.SolveWith(*Sparse(), first);
+  Result<LpSolution> cold = lp.Solve(first);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   ASSERT_FALSE(basis.empty());
 
   const uint64_t warms_before = CounterValue("lp.warm_starts");
   LpSolveOptions second;
   second.warm_start = &basis;
-  Result<LpSolution> warm = lp.SolveWith(*Sparse(), second);
+  Result<LpSolution> warm = lp.Solve(second);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ(CounterValue("lp.warm_starts") - warms_before, 1u);
   // The optimal basis re-prices as optimal: zero pivots, same vertex (the
@@ -123,7 +114,7 @@ TEST(RevisedSimplexTest, WarmRestartOfSolvedInstanceTakesNoPivots) {
     EXPECT_NEAR(warm->values[i], cold->values[i], 1e-9) << "value " << i;
   }
 
-  Result<LpSolution> warm2 = lp.SolveWith(*Sparse(), second);
+  Result<LpSolution> warm2 = lp.Solve(second);
   ASSERT_TRUE(warm2.ok()) << warm2.status().ToString();
   EXPECT_EQ(warm2->iterations, warm->iterations);
   EXPECT_EQ(warm2->values, warm->values);  // bit-identical replay
@@ -136,7 +127,7 @@ TEST(RevisedSimplexTest, WarmStartAfterConstraintAppend) {
   LpSolveOptions first;
   first.final_basis = &basis;
   LpProblem base = build(20);
-  Result<LpSolution> base_solve = base.SolveWith(*Sparse(), first);
+  Result<LpSolution> base_solve = base.Solve(first);
   ASSERT_TRUE(base_solve.ok()) << base_solve.status().ToString();
 
   // Same instance grown by four more rows (and their u/v columns): the
@@ -145,16 +136,16 @@ TEST(RevisedSimplexTest, WarmStartAfterConstraintAppend) {
   LpProblem grown = build(24);
   LpSolveOptions warm;
   warm.warm_start = &basis;
-  Result<LpSolution> warm_solve = grown.SolveWith(*Sparse(), warm);
+  Result<LpSolution> warm_solve = grown.Solve(warm);
   ASSERT_TRUE(warm_solve.ok()) << warm_solve.status().ToString();
-  Result<LpSolution> oracle = grown.SolveWith(*Dense(), LpSolveOptions{});
+  Result<LpSolution> oracle = oracles::SolveDenseTableau(grown.instance(), {});
   ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
   EXPECT_NEAR(warm_solve->objective, oracle->objective, 1e-7);
 }
 
 TEST(RevisedSimplexTest, SingularWarmBasisFallsBackToColdStart) {
   // Two identical columns: marking both basic makes the warm basis
-  // numerically singular, which the backend must detect and repair (or
+  // numerically singular, which the engine must detect and repair (or
   // cold-start) rather than produce garbage.
   LpProblem lp;
   size_t a = lp.AddVariable(0.0, 10.0, -1.0);
@@ -167,7 +158,7 @@ TEST(RevisedSimplexTest, SingularWarmBasisFallsBackToColdStart) {
   singular.logicals = {LpVarStatus::kAtLower, LpVarStatus::kAtLower};
   LpSolveOptions options;
   options.warm_start = &singular;
-  Result<LpSolution> got = lp.SolveWith(*Sparse(), options);
+  Result<LpSolution> got = lp.Solve(options);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_NEAR(got->objective, -5.0, 1e-9);
 }
@@ -182,19 +173,20 @@ TEST(RevisedSimplexTest, MisshapedWarmBasisIsIgnored) {
   wrong.logicals = {LpVarStatus::kBasic};
   LpSolveOptions options;
   options.warm_start = &wrong;
-  Result<LpSolution> got = lp.SolveWith(*Sparse(), options);
+  Result<LpSolution> got = lp.Solve(options);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_NEAR(got->objective, -0.5, 1e-9);
 }
 
 TEST(RevisedSimplexTest, EmptyProblemSolvesToZero) {
   LpProblem lp;
-  for (const auto& backend : {Dense(), Sparse()}) {
-    Result<LpSolution> got = lp.SolveWith(*backend, LpSolveOptions{});
-    ASSERT_TRUE(got.ok()) << backend->name() << ": "
+  for (const oracles::LpEngine& engine :
+       {oracles::kDenseTableau, oracles::kRevisedSimplex}) {
+    Result<LpSolution> got = engine.solve(lp.instance(), LpSolveOptions{});
+    ASSERT_TRUE(got.ok()) << engine.name << ": "
                           << got.status().ToString();
-    EXPECT_EQ(got->objective, 0.0) << backend->name();
-    EXPECT_TRUE(got->values.empty()) << backend->name();
+    EXPECT_EQ(got->objective, 0.0) << engine.name;
+    EXPECT_TRUE(got->values.empty()) << engine.name;
   }
 }
 
@@ -204,13 +196,14 @@ TEST(RevisedSimplexTest, VariablesOnlyProblemRestsAtBestBounds) {
   LpProblem lp;
   lp.AddVariable(0.0, 3.0, -2.0);
   lp.AddVariable(-1.0, 4.0, 1.0);
-  for (const auto& backend : {Dense(), Sparse()}) {
-    Result<LpSolution> got = lp.SolveWith(*backend, LpSolveOptions{});
-    ASSERT_TRUE(got.ok()) << backend->name() << ": "
+  for (const oracles::LpEngine& engine :
+       {oracles::kDenseTableau, oracles::kRevisedSimplex}) {
+    Result<LpSolution> got = engine.solve(lp.instance(), LpSolveOptions{});
+    ASSERT_TRUE(got.ok()) << engine.name << ": "
                           << got.status().ToString();
-    EXPECT_NEAR(got->objective, -7.0, 1e-9) << backend->name();
-    EXPECT_NEAR(got->values[0], 3.0, 1e-9) << backend->name();
-    EXPECT_NEAR(got->values[1], -1.0, 1e-9) << backend->name();
+    EXPECT_NEAR(got->objective, -7.0, 1e-9) << engine.name;
+    EXPECT_NEAR(got->values[0], 3.0, 1e-9) << engine.name;
+    EXPECT_NEAR(got->values[1], -1.0, 1e-9) << engine.name;
   }
 }
 
@@ -218,12 +211,13 @@ TEST(RevisedSimplexTest, OneByOneProblem) {
   LpProblem lp;
   size_t x = lp.AddVariable(0.0, LpProblem::kInfinity, -1.0);
   lp.AddConstraint({{x, 2.0}}, Relation::kLessEq, 6.0);
-  for (const auto& backend : {Dense(), Sparse()}) {
-    Result<LpSolution> got = lp.SolveWith(*backend, LpSolveOptions{});
-    ASSERT_TRUE(got.ok()) << backend->name() << ": "
+  for (const oracles::LpEngine& engine :
+       {oracles::kDenseTableau, oracles::kRevisedSimplex}) {
+    Result<LpSolution> got = engine.solve(lp.instance(), LpSolveOptions{});
+    ASSERT_TRUE(got.ok()) << engine.name << ": "
                           << got.status().ToString();
-    EXPECT_NEAR(got->objective, -3.0, 1e-9) << backend->name();
-    EXPECT_NEAR(got->values[0], 3.0, 1e-9) << backend->name();
+    EXPECT_NEAR(got->objective, -3.0, 1e-9) << engine.name;
+    EXPECT_NEAR(got->values[0], 3.0, 1e-9) << engine.name;
   }
 }
 
@@ -235,7 +229,7 @@ TEST(RevisedSimplexTest, AllSlackOptimumTakesNoPivots) {
   size_t y = lp.AddVariable(0.0, 5.0, 2.0);
   lp.AddConstraint({{x, 1.0}, {y, 1.0}}, Relation::kLessEq, 8.0);
   lp.AddConstraint({{x, 1.0}}, Relation::kLessEq, 4.0);
-  Result<LpSolution> got = lp.SolveWith(*Sparse(), LpSolveOptions{});
+  Result<LpSolution> got = lp.Solve();
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->iterations, 0u);
   EXPECT_NEAR(got->objective, 0.0, 1e-12);
@@ -245,14 +239,14 @@ TEST(RevisedSimplexTest, UnboundedAndInfeasibleStatuses) {
   LpProblem unbounded;
   size_t u = unbounded.AddVariable(0.0, LpProblem::kInfinity, -1.0);
   unbounded.AddConstraint({{u, -1.0}}, Relation::kLessEq, 1.0);
-  Result<LpSolution> ray = unbounded.SolveWith(*Sparse(), LpSolveOptions{});
+  Result<LpSolution> ray = unbounded.Solve();
   ASSERT_FALSE(ray.ok());
   EXPECT_EQ(ray.status().code(), StatusCode::kUnbounded);
 
   LpProblem infeasible;
   size_t x = infeasible.AddVariable(0.0, 1.0, 0.0);
   infeasible.AddConstraint({{x, 1.0}}, Relation::kGreaterEq, 2.0);
-  Result<LpSolution> none = infeasible.SolveWith(*Sparse(), LpSolveOptions{});
+  Result<LpSolution> none = infeasible.Solve();
   ASSERT_FALSE(none.ok());
   EXPECT_EQ(none.status().code(), StatusCode::kInfeasible);
 }

@@ -5,10 +5,10 @@
 
 #include <algorithm>
 #include <map>
-#include <string>
 
 #include "census/reconstruct.h"
 #include "census/sat_reconstruct.h"
+#include "oracles/oracles.h"
 #include "solver/sat.h"
 
 namespace pso::census {
@@ -147,44 +147,49 @@ TEST(SatReconstructTest, BudgetExhaustionIsFirstClassOutcome) {
   // reconstruction reports budget_exhausted = true and stays ok().
   Population pop = SmallPopulation(23, 1, 5, 5);
   BlockTables t = Tabulate(pop.blocks[0]);
-  for (const std::string& backend : {std::string("dpll"),
-                                     std::string("cdcl")}) {
-    auto sat = ReconstructBlockSat(t, /*max_decisions=*/1, backend);
-    ASSERT_TRUE(sat.ok()) << sat.status().ToString();
-    if (sat->budget_exhausted) {
-      EXPECT_TRUE(sat->reconstructed.empty());
-      EXPECT_EQ(sat->decisions, 1u);
-    } else {
-      // Solved within one decision (all units): a complete solution.
-      EXPECT_TRUE(sat->satisfiable);
-    }
+  auto sat = ReconstructBlockSat(t, /*max_decisions=*/1);
+  ASSERT_TRUE(sat.ok()) << sat.status().ToString();
+  if (sat->budget_exhausted) {
+    EXPECT_TRUE(sat->reconstructed.empty());
+    EXPECT_EQ(sat->decisions, 1u);
+  } else {
+    // Solved within one decision (all units): a complete solution.
+    EXPECT_TRUE(sat->satisfiable);
+  }
+  // The DPLL oracle on the same encoding and budget: out of budget is
+  // kResourceExhausted, anything else a decided, table-consistent block.
+  BlockSatEncoding encoding = EncodeBlockSat(t);
+  SatSolveOptions options;
+  options.max_decisions = 1;
+  auto dpll = oracles::SolveDpll(encoding.solver.instance(), options);
+  if (!dpll.ok()) {
+    EXPECT_EQ(dpll.status().code(), StatusCode::kResourceExhausted);
+  } else {
+    EXPECT_TRUE(dpll->satisfiable);
+    EXPECT_TRUE(ConsistentWithTables(encoding.Decode(dpll->assignment), t));
   }
 }
 
 TEST(SatReconstructTest, BackendsAgreeBlockwise) {
-  // Both registered engines must produce table-consistent solutions and
-  // identical satisfiability on the same census encodings.
+  // CDCL (through ReconstructBlockSat) and the DPLL oracle on the same
+  // census encodings: both produce table-consistent solutions and
+  // identical satisfiability.
   Population pop = SmallPopulation(24, 6, 2, 5);
   for (const Block& b : pop.blocks) {
     BlockTables t = Tabulate(b);
-    auto dpll = ReconstructBlockSat(t, 500000, "dpll");
-    auto cdcl = ReconstructBlockSat(t, 500000, "cdcl");
-    ASSERT_TRUE(dpll.ok());
+    auto cdcl = ReconstructBlockSat(t, 500000);
+    BlockSatEncoding encoding = EncodeBlockSat(t);
+    SatSolveOptions options;
+    options.max_decisions = 500000;
+    auto dpll = oracles::SolveDpll(encoding.solver.instance(), options);
+    ASSERT_TRUE(dpll.ok()) << dpll.status().ToString();
     ASSERT_TRUE(cdcl.ok());
-    ASSERT_FALSE(dpll->budget_exhausted);
     ASSERT_FALSE(cdcl->budget_exhausted);
     EXPECT_EQ(dpll->satisfiable, cdcl->satisfiable);
-    EXPECT_TRUE(ConsistentWithTables(dpll->reconstructed, t));
+    EXPECT_TRUE(
+        ConsistentWithTables(encoding.Decode(dpll->assignment), t));
     EXPECT_TRUE(ConsistentWithTables(cdcl->reconstructed, t));
   }
-}
-
-TEST(SatReconstructTest, UnknownBackendRejected) {
-  Population pop = SmallPopulation(25, 1, 2, 2);
-  BlockTables t = Tabulate(pop.blocks[0]);
-  auto sat = ReconstructBlockSat(t, 1000, "no-such-engine");
-  ASSERT_FALSE(sat.ok());
-  EXPECT_EQ(sat.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

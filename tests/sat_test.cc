@@ -1,17 +1,15 @@
-// Tests for the SAT layer, parameterized over both registered backends
-// (chronological DPLL and conflict-driven CDCL). Every functional property
-// must hold regardless of which engine solves the instance.
+// Tests for the SAT layer, parameterized over the CDCL engine and its
+// chronological DPLL oracle. Every functional property must hold
+// regardless of which of the two solves the instance.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
 #include <string>
 #include <tuple>
 
 #include "common/rng.h"
+#include "oracles/oracles.h"
 #include "solver/sat.h"
-#include "solver/sat_backend.h"
 
 namespace pso {
 namespace {
@@ -26,26 +24,19 @@ TEST(SatTest, LiteralEncoding) {
   EXPECT_EQ(LitNegate(neg), pos);
 }
 
-TEST(SatTest, BackendRegistryListsBothEngines) {
-  auto names = SatBackendNames();
-  EXPECT_NE(std::find(names.begin(), names.end(), "dpll"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "cdcl"), names.end());
-  EXPECT_FALSE(MakeSatBackend("no-such-engine").ok());
-}
-
-// Fixture solving through a named backend from the registry.
-class SatBackendTest : public ::testing::TestWithParam<std::string> {
+// Fixture parameterized on the solver; Solve() checks the builder status
+// first, as SatSolver::Solve does.
+class SatEngineTest : public ::testing::TestWithParam<oracles::SatEngine> {
  protected:
   Result<SatSolution> Solve(SatSolver& s, size_t max_decisions = 0) {
-    auto backend = MakeSatBackend(GetParam());
-    if (!backend.ok()) return backend.status();
+    if (!s.build_status().ok()) return s.build_status();
     SatSolveOptions options;
     options.max_decisions = max_decisions;
-    return s.SolveWith(**backend, options);
+    return GetParam().solve(s.instance(), options);
   }
 };
 
-TEST_P(SatBackendTest, TrivialSat) {
+TEST_P(SatEngineTest, TrivialSat) {
   SatSolver s(1);
   s.AddUnit(MakeLit(0, true));
   auto sol = Solve(s);
@@ -54,7 +45,7 @@ TEST_P(SatBackendTest, TrivialSat) {
   EXPECT_TRUE(sol->assignment[0]);
 }
 
-TEST_P(SatBackendTest, TrivialUnsat) {
+TEST_P(SatEngineTest, TrivialUnsat) {
   SatSolver s(1);
   s.AddUnit(MakeLit(0, true));
   s.AddUnit(MakeLit(0, false));
@@ -63,7 +54,7 @@ TEST_P(SatBackendTest, TrivialUnsat) {
   EXPECT_FALSE(sol->satisfiable);
 }
 
-TEST_P(SatBackendTest, EmptyClauseIsUnsat) {
+TEST_P(SatEngineTest, EmptyClauseIsUnsat) {
   SatSolver s(2);
   s.AddClause({});
   auto sol = Solve(s);
@@ -71,14 +62,14 @@ TEST_P(SatBackendTest, EmptyClauseIsUnsat) {
   EXPECT_FALSE(sol->satisfiable);
 }
 
-TEST_P(SatBackendTest, EmptyFormulaIsSat) {
+TEST_P(SatEngineTest, EmptyFormulaIsSat) {
   SatSolver s(3);
   auto sol = Solve(s);
   ASSERT_TRUE(sol.ok());
   EXPECT_TRUE(sol->satisfiable);
 }
 
-TEST_P(SatBackendTest, TautologicalClauseDropped) {
+TEST_P(SatEngineTest, TautologicalClauseDropped) {
   SatSolver s(1);
   s.AddBinary(MakeLit(0, true), MakeLit(0, false));  // x or ~x
   s.AddUnit(MakeLit(0, false));
@@ -88,7 +79,7 @@ TEST_P(SatBackendTest, TautologicalClauseDropped) {
   EXPECT_FALSE(sol->assignment[0]);
 }
 
-TEST_P(SatBackendTest, ImplicationChainPropagates) {
+TEST_P(SatEngineTest, ImplicationChainPropagates) {
   // x0 and (x0 -> x1) and (x1 -> x2) ... forces all true.
   const uint32_t n = 20;
   SatSolver s(n);
@@ -102,7 +93,7 @@ TEST_P(SatBackendTest, ImplicationChainPropagates) {
   for (uint32_t i = 0; i < n; ++i) EXPECT_TRUE(sol->assignment[i]);
 }
 
-TEST_P(SatBackendTest, ExactlyOneConstraint) {
+TEST_P(SatEngineTest, ExactlyOneConstraint) {
   SatSolver s(4);
   std::vector<Lit> lits;
   for (uint32_t v = 0; v < 4; ++v) lits.push_back(MakeLit(v, true));
@@ -115,7 +106,7 @@ TEST_P(SatBackendTest, ExactlyOneConstraint) {
   EXPECT_EQ(trues, 1);
 }
 
-TEST_P(SatBackendTest, PigeonholeUnsat) {
+TEST_P(SatEngineTest, PigeonholeUnsat) {
   // 4 pigeons into 3 holes: var p*3+h means pigeon p in hole h.
   const uint32_t pigeons = 4;
   const uint32_t holes = 3;
@@ -140,7 +131,7 @@ TEST_P(SatBackendTest, PigeonholeUnsat) {
   EXPECT_FALSE(sol->satisfiable);
 }
 
-TEST_P(SatBackendTest, DecisionLimitIsResourceExhausted) {
+TEST_P(SatEngineTest, DecisionLimitIsResourceExhausted) {
   // Hard pigeonhole with a tiny decision budget: the solver must report
   // kResourceExhausted (a first-class budget outcome), never kInternal.
   const uint32_t pigeons = 9;
@@ -166,15 +157,15 @@ TEST_P(SatBackendTest, DecisionLimitIsResourceExhausted) {
   EXPECT_EQ(sol.status().code(), StatusCode::kResourceExhausted);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, SatBackendTest,
-                         ::testing::Values("dpll", "cdcl"),
-                         [](const auto& info) { return info.param; });
+INSTANTIATE_TEST_SUITE_P(Engines, SatEngineTest,
+                         ::testing::Values(oracles::kDpll, oracles::kCdcl),
+                         [](const auto& info) { return info.param.name; });
 
-// Property: on random satisfiable 3-SAT (planted solution), both backends
+// Property: on random satisfiable 3-SAT (planted solution), both solvers
 // must find some satisfying assignment, and it must actually satisfy every
 // clause.
 class SatRandomTest
-    : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
+    : public ::testing::TestWithParam<std::tuple<int, oracles::SatEngine>> {};
 
 TEST_P(SatRandomTest, PlantedInstanceSolvedAndVerified) {
   Rng rng(500 + std::get<0>(GetParam()));
@@ -202,9 +193,8 @@ TEST_P(SatRandomTest, PlantedInstanceSolvedAndVerified) {
     s.AddClause(clause);
     clauses.push_back(std::move(clause));
   }
-  auto backend = MakeSatBackend(std::get<1>(GetParam()));
-  ASSERT_TRUE(backend.ok());
-  auto sol = s.SolveWith(**backend, {});
+  ASSERT_TRUE(s.build_status().ok());
+  auto sol = std::get<1>(GetParam()).solve(s.instance(), {});
   ASSERT_TRUE(sol.ok());
   ASSERT_TRUE(sol->satisfiable);
   for (const auto& clause : clauses) {
@@ -222,9 +212,9 @@ TEST_P(SatRandomTest, PlantedInstanceSolvedAndVerified) {
 INSTANTIATE_TEST_SUITE_P(
     Seeds, SatRandomTest,
     ::testing::Combine(::testing::Range(0, 8),
-                       ::testing::Values("dpll", "cdcl")),
+                       ::testing::Values(oracles::kDpll, oracles::kCdcl)),
     [](const auto& info) {
-      return std::get<1>(info.param) + "_" +
+      return std::string(std::get<1>(info.param).name) + "_" +
              std::to_string(std::get<0>(info.param));
     });
 

@@ -14,9 +14,9 @@
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
+#include "oracles/oracles.h"
 #include "solver/lp.h"
 #include "solver/sat.h"
-#include "solver/sat_backend.h"
 
 namespace pso {
 namespace {
@@ -392,16 +392,17 @@ TEST(TraceTest, SatStepTraceRecordedWhenEnabled) {
 }
 
 TEST(TraceTest, SatStepTrailDepthConvention) {
-  // Pins the SatStep::trail_depth convention documented in sat_backend.h
-  // for BOTH backends: decisions and propagations record the trail
-  // length immediately before their own assignment lands; a backtrack
-  // records the post-unwind length. Replaying the trace with a simulated
-  // trail length must therefore match every recorded depth. DPLL's
-  // backtrack step carries the chronological flip (one assignment lands
-  // as part of the step); CDCL's backjump is a pure unwind whose
-  // asserting literal arrives as a separate propagation step.
-  for (const std::string& backend : {std::string("dpll"),
-                                     std::string("cdcl")}) {
+  // Pins the SatStep::trail_depth convention documented in sat.h for
+  // BOTH the CDCL engine and its DPLL oracle: decisions and propagations
+  // record the trail length immediately before their own assignment
+  // lands; a backtrack records the post-unwind length. Replaying the
+  // trace with a simulated trail length must therefore match every
+  // recorded depth. DPLL's backtrack step carries the chronological flip
+  // (one assignment lands as part of the step); CDCL's backjump is a pure
+  // unwind whose asserting literal arrives as a separate propagation step.
+  for (const oracles::SatEngine& engine :
+       {oracles::kDpll, oracles::kCdcl}) {
+    const std::string name = engine.name;
     ScopedTracing tracing;
     // Pigeonhole 4->3: no unit clauses (the replayed trail starts
     // empty), UNSAT, and small enough that CDCL never restarts.
@@ -423,13 +424,12 @@ TEST(TraceTest, SatStepTrailDepthConvention) {
         }
       }
     }
-    auto engine = MakeSatBackend(backend);
-    ASSERT_TRUE(engine.ok());
-    auto solved = solver.SolveWith(**engine, {});
+    ASSERT_TRUE(solver.build_status().ok());
+    auto solved = engine.solve(solver.instance(), {});
     ASSERT_TRUE(solved.ok());
     EXPECT_FALSE(solved->satisfiable);
     ASSERT_LE(solved->step_trace.size(), kSatStepTraceCapacity)
-        << backend << ": trace truncation would break the replay";
+        << name << ": trace truncation would break the replay";
     size_t trail = 0;
     size_t backtracks_seen = 0;
     for (const SatStep& step : solved->step_trace) {
@@ -437,19 +437,19 @@ TEST(TraceTest, SatStepTrailDepthConvention) {
         case SatStep::Kind::kDecision:
         case SatStep::Kind::kPropagation:
           EXPECT_EQ(step.trail_depth, trail)
-              << backend << ": pre-push depth on var " << step.var;
+              << name << ": pre-push depth on var " << step.var;
           ++trail;
           break;
         case SatStep::Kind::kBacktrack:
           ++backtracks_seen;
           EXPECT_LT(step.trail_depth, trail)
-              << backend << ": a backtrack must shrink the trail";
+              << name << ": a backtrack must shrink the trail";
           trail = step.trail_depth;
-          if (backend == "dpll") ++trail;  // the flip lands with the step
+          if (name == "dpll") ++trail;  // the flip lands with the step
           break;
       }
     }
-    EXPECT_GT(backtracks_seen, 0u) << backend;
+    EXPECT_GT(backtracks_seen, 0u) << name;
     Collector::Global().TakeEvents();
   }
 }

@@ -58,13 +58,6 @@
 // {debug,info,warn,error} sets the structured-log threshold (default
 // warn; JSON lines on stderr).
 //
-// --lp-backend {dense,sparse} selects the LP solver behind the decoder
-// (default sparse, the revised simplex; dense is the tableau oracle).
-//
-// --sat-backend {dpll,cdcl} selects the SAT engine behind `census
-// --sat`'s blockwise cross-check (default cdcl, the clause-learning
-// engine; dpll is the chronological oracle).
-//
 // Unknown or malformed flags are rejected: each subcommand declares the
 // flags it accepts, and anything else prints usage and exits non-zero.
 
@@ -101,8 +94,6 @@
 #include "service/loadgen.h"
 #include "service/query_service.h"
 #include "service/server.h"
-#include "solver/lp_backend.h"
-#include "solver/sat_backend.h"
 #include "tools/flags.h"
 
 namespace pso::tools {
@@ -132,8 +123,6 @@ const std::vector<FlagSpec> kCommonFlags = {
     {"solver-watchdog-ms", FlagSpec::Type::kInt},
     {"trace", FlagSpec::Type::kString},
     {"log-level", FlagSpec::Type::kString},
-    {"lp-backend", FlagSpec::Type::kString},
-    {"sat-backend", FlagSpec::Type::kString},
 };
 
 // The full flag table for `command`; empty for an unknown command.
@@ -305,9 +294,9 @@ int RunCensus(const Flags& flags) {
       pop, per_block, commercial, /*age_tolerance=*/1, pool.get());
   RecordPoolGauges(pool.get());
 
-  // --sat: cross-check each block on the process-default SAT backend
-  // (--sat-backend selects it) and report agreement with the CSP engine
-  // plus budget exhaustions as first-class outcomes.
+  // --sat: cross-check each block with the SAT engine and report
+  // agreement with the CSP engine plus budget exhaustions as first-class
+  // outcomes.
   size_t sat_checked = 0;
   size_t sat_agree = 0;
   size_t sat_exhausted = 0;
@@ -345,7 +334,6 @@ int RunCensus(const Flags& flags) {
   table.AddRow({"confirmed re-identifications",
                 StrFormat("%.2f%%", 100.0 * reid.confirmed_rate())});
   if (run_sat) {
-    table.AddRow({"SAT cross-check backend", DefaultSatBackendName()});
     table.AddRow({"SAT blocks agreeing",
                   StrFormat("%zu/%zu", sat_agree, sat_checked)});
     table.AddRow({"SAT budget exhausted", StrFormat("%zu", sat_exhausted)});
@@ -696,22 +684,6 @@ int Main(int argc, char** argv) {
       return Usage();
     }
     log::SetMinLevel(level);
-  }
-  const std::string lp_backend = flags.GetString("lp-backend", "");
-  if (!lp_backend.empty()) {
-    Status set = SetDefaultLpBackend(lp_backend);
-    if (!set.ok()) {
-      std::fprintf(stderr, "psoctl: %s\n", set.ToString().c_str());
-      return Usage();
-    }
-  }
-  const std::string sat_backend = flags.GetString("sat-backend", "");
-  if (!sat_backend.empty()) {
-    Status set = SetDefaultSatBackend(sat_backend);
-    if (!set.ok()) {
-      std::fprintf(stderr, "psoctl: %s\n", set.ToString().c_str());
-      return Usage();
-    }
   }
   const std::string metrics_format = flags.GetString("metrics-format", "text");
   if (metrics_format != "text" && metrics_format != "json" &&
