@@ -5,12 +5,15 @@
 // alpha/sqrt(n) of order 1.
 //
 // The accuracy series runs on the revised simplex with the warm-start
-// basis threaded across same-shaped decode LPs. A second "grid replay"
-// leg then re-solves one trial of the full grid with a fresh warm-start
-// chain and measures its pivot work: an absolute lp.pivot_work bound on
-// that deterministic count is the engine's performance contract, and the
-// replay's objectives must match the series' (a warm start may change
-// the path, never the optimum).
+// basis threaded across same-shaped decode LPs. Exact answers (c = 0) are
+// the attacker's easiest case and the decode LP's most degenerate one:
+// the c = 0 grid points and one exact decode at n = 192 must reconstruct
+// perfectly within kExactPivotsPerRow pivots per query row. A second
+// "grid replay" leg then re-solves one trial of the full grid with a
+// fresh warm-start chain and measures its pivot work: an absolute
+// lp.pivot_work bound on that deterministic count is the engine's
+// performance contract, and the replay's objectives must match the
+// series' (a warm start may change the path, never the optimum).
 
 #include <algorithm>
 #include <cmath>
@@ -66,11 +69,14 @@ DecodePoint LpDecodeAt(size_t n, double c, size_t trial,
   return out;
 }
 
+// Pivot bound of an exact-answer decode, per query row.
+constexpr double kExactPivotsPerRow = 8.0;
+
 // Upper bound on the replay's lp.pivot_work. The count is deterministic
-// (5,859,667,464 when the bound was set); the ~20% headroom admits engine
-// tuning that moves it a little, not a regression toward dense-tableau
-// work (~10x more on this grid).
-constexpr uint64_t kReplayPivotWorkBound = 7000000000;
+// (246,096,845 when the bound was set); the ~20% headroom admits engine
+// tuning that moves it a little, not a return to grinding the exact
+// decodes' degenerate vertices with Bland's rule (~24x more work).
+constexpr uint64_t kReplayPivotWorkBound = 300000000;
 
 // Replays one trial of the grid, threading a fresh warm-start basis
 // across the same-shaped decodes of each n. Returns the replay's pivot
@@ -119,6 +125,8 @@ int Run(int argc, char** argv) {
   double lp_big_noise = 1.0;
   double lsq_small_noise_big_n = 0.0;
   std::vector<double> series_residuals;  // trial 0, in grid order
+  // Per n of the grid: the worst c = 0 accuracy and pivots per row.
+  std::vector<std::pair<double, double>> exact_points;
 
   for (size_t n : kNs) {
     const size_t queries = 5 * n;
@@ -129,11 +137,20 @@ int Run(int argc, char** argv) {
       double alpha = c * std::sqrt(static_cast<double>(n));
       RunningStats lp_acc;
       RunningStats lsq_acc;
+      double min_accuracy = 1.0;
+      double max_pivots_per_row = 0.0;
       const size_t trials = 3;
       for (size_t t = 0; t < trials; ++t) {
+        const uint64_t pivots_before = metrics::GetCounter("lp.pivots").value();
         DecodePoint p = bench::TimedIteration(
             [&] { return LpDecodeAt(n, c, t, lp_options); });
+        max_pivots_per_row = std::max(
+            max_pivots_per_row,
+            static_cast<double>(metrics::GetCounter("lp.pivots").value() -
+                                pivots_before) /
+                static_cast<double>(queries));
         if (p.ok) lp_acc.Add(p.accuracy);
+        min_accuracy = std::min(min_accuracy, p.ok ? p.accuracy : 0.0);
         if (t == 0) series_residuals.push_back(p.residual);
         // The LSQ decoder re-draws the same oracle/query stream.
         Rng rng(500 + 17 * t + n);
@@ -156,7 +173,25 @@ int Run(int argc, char** argv) {
         lsq_small_noise_big_n = lsq_acc.mean();
       }
       if (n == 64 && c == 4.0) lp_big_noise = lp_acc.mean();
+      if (c == 0.0) {
+        exact_points.emplace_back(min_accuracy, max_pivots_per_row);
+      }
     }
+  }
+  // Exact decoding past the grid: n = 192, cold start.
+  double exact_big_accuracy = 0.0;
+  double exact_big_pivots_per_row = 0.0;
+  {
+    const size_t n = 192;
+    const uint64_t pivots_before = metrics::GetCounter("lp.pivots").value();
+    DecodePoint p = LpDecodeAt(n, 0.0, /*trial=*/0, recon::LpDecodeOptions{});
+    exact_big_pivots_per_row =
+        static_cast<double>(metrics::GetCounter("lp.pivots").value() -
+                            pivots_before) /
+        static_cast<double>(5 * n);
+    if (p.ok) exact_big_accuracy = p.accuracy;
+    table.AddRow({"192", "960", "0.00", StrFormat("%.3f", exact_big_accuracy),
+                  "-"});
   }
   // The LSQ decoder scales further; show n = 192 at the favorable noise.
   {
@@ -196,6 +231,18 @@ int Run(int argc, char** argv) {
                       "LP decoding collapses at alpha = 4*sqrt(n)");
   checks.CheckGreater(lp_small_noise, lp_big_noise,
                       "crossover in c = alpha/sqrt(n) exists");
+  for (size_t k = 0; k < exact_points.size(); ++k) {
+    checks.CheckBetween(exact_points[k].first, 1.0, 1.0,
+                        StrFormat("LP decoding is exact at alpha = 0, n=%zu",
+                                  kNs[k]));
+    checks.CheckBetween(exact_points[k].second, 0.0, kExactPivotsPerRow,
+                        StrFormat("pivots per row of exact decodes, n=%zu",
+                                  kNs[k]));
+  }
+  checks.CheckBetween(exact_big_accuracy, 1.0, 1.0,
+                      "LP decoding is exact at alpha = 0, n=192");
+  checks.CheckBetween(exact_big_pivots_per_row, 0.0, kExactPivotsPerRow,
+                      "pivots per row of the exact decode, n=192");
   checks.Check(replay.ok, "the replay solved every LP");
   checks.CheckBetween(static_cast<double>(replay.pivot_work), 1.0,
                       static_cast<double>(kReplayPivotWorkBound),

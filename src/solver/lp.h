@@ -97,8 +97,12 @@ struct LpBasis {
   bool empty() const { return structurals.empty() && logicals.empty(); }
 };
 
-/// Per-solve options. Both pointers are borrowed; null = off.
+/// Per-solve options. The pointers are borrowed; null = off.
 struct LpSolveOptions {
+  /// Pivot budget, the LP analogue of SatSolveOptions::max_decisions: a
+  /// solve that has not reached an answer after this many pivots returns
+  /// kResourceExhausted. Bound flips do not count as pivots.
+  size_t max_pivots = 200000;
   /// Basis hint from a previous solve. A singular or mis-shaped hint is
   /// silently replaced by a cold start.
   const LpBasis* warm_start = nullptr;
@@ -142,12 +146,15 @@ class LpProblem {
   /// constraint; then the first violation, as InvalidArgument.
   const Status& build_status() const { return build_status_; }
 
-  /// Solves to optimality with the revised simplex, warm-started and
-  /// basis-reporting as `options` ask. Returns the recorded
+  /// Solves to optimality with the revised simplex, warm-started,
+  /// budgeted and basis-reporting as `options` ask. Returns the recorded
   /// build_status() error if the instance is malformed, kInfeasible if no
   /// feasible point exists, kUnbounded if the objective improves without
   /// bound (our decoding LPs are always bounded, so callers may treat it
-  /// as a modeling error), and kInternal on iteration-limit exhaustion.
+  /// as a modeling error), and kResourceExhausted when options.max_pivots
+  /// pivots did not reach an answer: the budget ran out, the solver is
+  /// healthy, and lp.pivots counts the pivots spent. kInternal is left
+  /// for numerical breakdown (a basis that cannot be refactorized).
   [[nodiscard]] Result<LpSolution> Solve(
       const LpSolveOptions& options = LpSolveOptions{}) const;
 

@@ -47,7 +47,7 @@ struct PivotSink {
 };
 
 // Publishes one solve's shared counters to the global registry on every
-// exit path (optimal, infeasible, unbounded, iteration limit). Counters
+// exit path (optimal, infeasible, unbounded, pivot budget). Counters
 // are seed-deterministic totals; the wall-clock span is reported
 // separately. `pivot_work` is the FLOPs-equivalent tally: the number of
 // matrix/vector cells actually touched while pivoting — the revised

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/progress.h"
@@ -31,7 +32,7 @@ namespace pso {
 
 namespace {
 
-using revised_simplex_internal::kBlandStreak;
+using revised_simplex_internal::kDegenerateStreak;
 using revised_simplex_internal::kRefactorInterval;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -39,7 +40,14 @@ constexpr double kEps = 1e-9;        // Reduced-cost / ratio tie tolerance.
 constexpr double kPivotTol = 1e-7;   // Minimum acceptable pivot magnitude.
 constexpr double kFeasTol = 1e-7;    // Per-variable bound violation slack.
 constexpr double kInfeasTol = 1e-6;  // Total violation => kInfeasible.
-constexpr size_t kMaxIterations = 200000;
+
+// Bound perturbation: column j's finite bounds move outward by
+// kPerturbScale * (1 + h(j)) * max(1, |bound|), where h(j) in [0, 1) is
+// a fixed hash of j under kPerturbKey. Distinct per-column shifts break
+// the ties that make a vertex degenerate; the key is a constant, so a
+// perturbed solve replays bit for bit.
+constexpr double kPerturbScale = 1e-5;
+constexpr uint64_t kPerturbKey = 0x5eed0f1b0d5ca1e5ULL;
 
 // Heartbeat cadence in simplex steps (pricing rounds). A work-count
 // boundary, never a timer, so heartbeats replay deterministically.
@@ -79,8 +87,8 @@ struct Ratio {
 // logical (one per row, identity coefficient).
 class SimplexState {
  public:
-  SimplexState(const LpInstance& model, size_t* pivot_work)
-      : pivot_work_(pivot_work) {
+  SimplexState(const LpInstance& model, lp_internal::SolveScope* scope)
+      : scope_(scope), pivot_work_(&scope->pivot_work) {
     n_ = model.variables.size();
     m_ = model.rows.size();
     ncols_ = n_ + m_;
@@ -262,6 +270,13 @@ class SimplexState {
     return status_[j] == LpVarStatus::kAtUpper ? upper_[j] : lower_[j];
   }
 
+  // Parks every nonbasic column on the bound its status names.
+  void SnapNonbasic() {
+    for (size_t j = 0; j < ncols_; ++j) {
+      if (status_[j] != LpVarStatus::kBasic) x_[j] = NonbasicValue(j);
+    }
+  }
+
   // Solves B x_B = b - A_N x_N and installs the basic values.
   void ComputeBasicValues() {
     work_.Clear();
@@ -359,9 +374,7 @@ class SimplexState {
     }
     if (basics != m_) return false;
     if (!Refactorize()) return false;
-    for (size_t j = 0; j < ncols_; ++j) {
-      if (status_[j] != LpVarStatus::kBasic) x_[j] = NonbasicValue(j);
-    }
+    SnapNonbasic();
     ComputeBasicValues();
     metrics::GetCounter("lp.warm_starts").Add(1);
     return true;
@@ -438,62 +451,72 @@ class SimplexState {
   // carry it *to* its violated bound (crossing would flip its gradient);
   // feasible basics block at whichever bound the step pushes them toward.
   // The entering variable's own bound gap competes as a bound flip.
+  //
+  // Two passes: the step is the smallest blocking ratio, so no basic
+  // variable passes its bound; then the leaving row is the smallest basic
+  // index among the near-ties. A near-tie is measured in the moving
+  // variable's units (kEps / max(1, |alpha|) in step length), so snapping
+  // the leaving variable onto its bound moves it by at most kEps, however
+  // large alpha is.
   Ratio RatioTest(size_t q, bool phase1, double dir) {
-    Ratio out;
-    double best_t = upper_[q] - lower_[q];  // May be +inf.
-    for (size_t p : work_.nonzeros()) {
-      double wv = work_[p];
-      if (std::fabs(wv) <= kPivotTol) continue;
-      double alpha = dir * wv;  // x_basic(t) = x_basic - t * alpha.
-      size_t j = basic_[p];
-      double xj = x_[j];
-      double t;
-      bool hit_upper;
+    // The step at which row p blocks (false: it never does).
+    auto blocks = [&](size_t p, double* t, bool* hit_upper) {
+      const double alpha = dir * work_[p];  // x_basic(t) = x_basic - t*alpha.
+      if (std::fabs(alpha) <= kPivotTol) return false;
+      const size_t j = basic_[p];
+      const double xj = x_[j];
       if (phase1 && xj < lower_[j] - kFeasTol) {
-        if (alpha >= 0.0) continue;  // Worsens; objective already counts it.
-        t = (xj - lower_[j]) / alpha;
-        hit_upper = false;
+        if (alpha >= 0.0) return false;  // Worsens; objective counts it.
+        *t = (xj - lower_[j]) / alpha;
+        *hit_upper = false;
       } else if (phase1 && xj > upper_[j] + kFeasTol) {
-        if (alpha <= 0.0) continue;
-        t = (xj - upper_[j]) / alpha;
-        hit_upper = true;
+        if (alpha <= 0.0) return false;
+        *t = (xj - upper_[j]) / alpha;
+        *hit_upper = true;
       } else if (alpha > 0.0) {
-        if (!std::isfinite(lower_[j])) continue;
-        t = (xj - lower_[j]) / alpha;
-        hit_upper = false;
+        if (!std::isfinite(lower_[j])) return false;
+        *t = (xj - lower_[j]) / alpha;
+        *hit_upper = false;
       } else {
-        if (!std::isfinite(upper_[j])) continue;
-        t = (xj - upper_[j]) / alpha;
-        hit_upper = true;
+        if (!std::isfinite(upper_[j])) return false;
+        *t = (xj - upper_[j]) / alpha;
+        *hit_upper = true;
       }
-      if (t < 0.0) t = 0.0;  // Tolerance-level infeasibility: degenerate.
-      bool take;
-      if (!out.has_leave) {
-        // Current best is the bound flip (or +inf): prefer a basis pivot
-        // on near-ties — it makes progress the dual simplex can reuse.
-        take = t <= best_t + kEps;
-      } else {
-        take = t < best_t - kEps ||
-               (t <= best_t + kEps && j < basic_[out.leave_row]);
-      }
-      if (take) {
-        best_t = std::min(best_t, t);
-        out.has_leave = true;
-        out.leave_row = p;
-        out.leave_at_upper = hit_upper;
-      }
+      if (*t < 0.0) *t = 0.0;  // Tolerance-level infeasibility: degenerate.
+      return true;
+    };
+
+    Ratio out;
+    const double gap = upper_[q] - lower_[q];  // May be +inf.
+    double t_min = gap;
+    double t = 0.0;
+    bool hit_upper = false;
+    for (size_t p : work_.nonzeros()) {
+      if (blocks(p, &t, &hit_upper)) t_min = std::min(t_min, t);
     }
-    if (!out.has_leave && !std::isfinite(best_t)) {
+    // Near-ties with the bound flip go to a basis pivot: it makes
+    // progress the dual simplex can reuse.
+    for (size_t p : work_.nonzeros()) {
+      if (!blocks(p, &t, &hit_upper)) continue;
+      if (t > t_min + kEps / std::max(1.0, std::fabs(work_[p]))) continue;
+      if (out.has_leave && basic_[p] >= basic_[out.leave_row]) continue;
+      out.has_leave = true;
+      out.leave_row = p;
+      out.leave_at_upper = hit_upper;
+    }
+    if (!out.has_leave && !std::isfinite(t_min)) {
       out.unbounded = true;
       return out;
     }
-    out.t = best_t;
+    out.t = t_min;
     return out;
   }
 
   // Executes one entering step: FTRAN, ratio test, then either a bound
   // flip (no basis change, not counted as an iteration) or a pivot
-  // (basic set update + eta append + periodic refactorization).
+  // (basic set update + eta append + periodic refactorization). A pivot
+  // past the max_pivots budget is refused with kResourceExhausted; bound
+  // flips are not pivots and always go through.
   Status Step(size_t q, bool phase1, size_t* degenerate_streak,
               lp_internal::PivotSink* sink) {
     double dir = status_[q] == LpVarStatus::kAtLower ? 1.0 : -1.0;
@@ -508,6 +531,12 @@ class SimplexState {
       }
       return Status::Unbounded(StrFormat(
           "objective improves without bound along column %zu", q));
+    }
+    if (r.has_leave && iterations_ >= max_pivots_) {
+      PSO_LOG(WARN).Field("pivots", iterations_)
+          << "LP pivot budget exhausted";
+      return Status::ResourceExhausted(
+          StrFormat("pivot budget of %zu exhausted", max_pivots_));
     }
 
     // Move the basic variables along the step.
@@ -542,6 +571,8 @@ class SimplexState {
     *degenerate_streak = r.t <= kEps ? *degenerate_streak + 1 : 0;
     size_t pivot_index = iterations_;
     ++iterations_;
+    scope_->total_iterations = iterations_;
+    if (phase1) ++scope_->phase1_iterations;
     if (sink != nullptr && sink->ring != nullptr) {
       sink->OnPivot(pivot_index, q, leaving,
                     phase1 ? TotalViolation() : Objective());
@@ -555,10 +586,145 @@ class SimplexState {
     return Status::Ok();
   }
 
+  // ---- Bound perturbation -------------------------------------------
+
+  // Widens every finite bound of every non-fixed column outward (see
+  // kPerturbScale), parks the nonbasic columns on their new bounds and
+  // recomputes x_B. The basis is unchanged, but x_B may now violate the
+  // widened bounds, so phase 1 runs next.
+  void Perturb() {
+    metrics::GetCounter("lp.perturbations").Add(1);
+    saved_lower_ = lower_;
+    saved_upper_ = upper_;
+    for (size_t j = 0; j < ncols_; ++j) {
+      if (upper_[j] - lower_[j] <= 0.0) continue;  // Fixed: stays fixed.
+      const double h =
+          static_cast<double>(MixUint64(kPerturbKey + j) >> 11) * 0x1.0p-53;
+      const double scale = kPerturbScale * (1.0 + h);
+      if (std::isfinite(lower_[j])) {
+        lower_[j] -= scale * std::max(1.0, std::fabs(lower_[j]));
+      }
+      if (std::isfinite(upper_[j])) {
+        upper_[j] += scale * std::max(1.0, std::fabs(upper_[j]));
+      }
+    }
+    SnapNonbasic();
+    ComputeBasicValues();
+  }
+
+  // Puts the original bounds back, parks the nonbasic columns on them and
+  // refreshes the factorization and x_B for the clean-up pass.
+  Status Unperturb() {
+    lower_ = std::move(saved_lower_);
+    upper_ = std::move(saved_upper_);
+    SnapNonbasic();
+    if (!Refactorize()) {
+      return Status::Internal("basis refactorization failed");
+    }
+    ComputeBasicValues();
+    return Status::Ok();
+  }
+
   // ---- Driver ------------------------------------------------------
 
+  void Tick(double objective, double phase) {
+    progress_->Tick(
+        steps_, {{"pivots", static_cast<double>(iterations_)},
+                 {"refactorizations", static_cast<double>(refactor_count_)},
+                 {"objective", objective},
+                 {"phase", phase}});
+  }
+
+  // Phase 1: drives out basic bound violations, with Bland's rule after
+  // a degenerate streak. The span always opens, even for a feasible
+  // (crashed / warm) start: a zero-pivot phase 1 documents "feasible by
+  // construction".
+  Status Phase1() {
+    trace::Span span("lp.phase1");
+    lp_internal::PivotSink sink{ring_, /*phase=*/1};
+    const size_t first_pivot = iterations_;
+    size_t degenerate_streak = 0;
+    while (true) {
+      ++steps_;
+      Pricing pr = Price(/*phase1=*/true,
+                         degenerate_streak > kDegenerateStreak);
+      if (!pr.any_infeasible) break;
+      if (pr.enter == SIZE_MAX) {
+        if (pr.total_violation > kInfeasTol) {
+          PSO_LOG(DEBUG).Field("residual", pr.total_violation)
+              << "LP infeasible";
+          return Status::Infeasible(
+              StrFormat("phase-1 residual %.3g", pr.total_violation));
+        }
+        break;  // Violations below tolerance: accept as feasible.
+      }
+      Status step = Step(pr.enter, /*phase1=*/true, &degenerate_streak,
+                         &sink);
+      if (!step.ok()) return step;
+      Tick(TotalViolation(), 1.0);
+    }
+    if (span.active()) {
+      span.Arg("pivots", std::to_string(iterations_ - first_pivot));
+    }
+    return Status::Ok();
+  }
+
+  // Phase 2: optimizes from a feasible basis. When a degenerate streak
+  // passes kDegenerateStreak, `bland` switches pricing to Bland's rule
+  // (the clean-up's termination guarantee); otherwise the pass stops
+  // early and sets *stalled so the caller can perturb.
+  Status Phase2(bool bland, bool* stalled) {
+    trace::Span span("lp.phase2");
+    lp_internal::PivotSink sink{ring_, /*phase=*/2};
+    const size_t first_pivot = iterations_;
+    size_t degenerate_streak = 0;
+    *stalled = false;
+    while (true) {
+      if (!bland && degenerate_streak > kDegenerateStreak) {
+        *stalled = true;
+        break;
+      }
+      ++steps_;
+      Pricing pr = Price(/*phase1=*/false,
+                         degenerate_streak > kDegenerateStreak);
+      if (pr.enter == SIZE_MAX) break;  // Optimal.
+      Status step = Step(pr.enter, /*phase1=*/false, &degenerate_streak,
+                         &sink);
+      if (!step.ok()) return step;
+      Tick(Objective(), 2.0);
+    }
+    if (span.active()) {
+      span.Arg("pivots", std::to_string(iterations_ - first_pivot));
+    }
+    return Status::Ok();
+  }
+
+  // Phase 1, then phase 2. A phase-2 stall on a degenerate vertex gets
+  // one bound perturbation: the perturbed problem is optimized (a second
+  // stall just ends that pass), then the original bounds come back and a
+  // clean-up phase 1 + phase 2 finishes from the perturbed optimum's
+  // basis. Bounds only widen, so the perturbed problem's feasible set
+  // and recession cone contain the original's: every status except an
+  // exhausted budget is left to the clean-up, which alone decides the
+  // status and the objective.
+  Status Optimize() {
+    Status st = Phase1();
+    if (!st.ok()) return st;
+    bool stalled = false;
+    st = Phase2(/*bland=*/false, &stalled);
+    if (!st.ok() || !stalled) return st;
+
+    Perturb();
+    st = Phase1();
+    if (st.ok()) st = Phase2(/*bland=*/false, &stalled);
+    if (st.code() == StatusCode::kResourceExhausted) return st;
+    st = Unperturb();
+    if (st.ok()) st = Phase1();
+    if (st.ok()) st = Phase2(/*bland=*/true, &stalled);
+    return st;
+  }
+
   Result<LpSolution> Run(const LpSolveOptions& options,
-                         lp_internal::SolveScope& scope,
                          trace::RingBuffer<LpPivotStep>* ring) {
     bool warm = false;
     if (options.warm_start != nullptr && !options.warm_start->empty()) {
@@ -574,79 +740,14 @@ class SimplexState {
       ComputeBasicValues();
     }
 
-    size_t steps = 0;
-    size_t degenerate_streak = 0;
+    max_pivots_ = options.max_pivots;
+    ring_ = ring;
     progress::ScopedSolve solve_guard;
     progress::ProgressReporter progress("simplex", kProgressEvery);
-
-    // ---- Phase 1: drive out basic bound violations. ----
-    // The span always opens, even for a feasible (crashed / warm) start:
-    // a zero-pivot phase 1 documents "feasible by construction".
-    {
-      trace::Span phase1_span("lp.phase1");
-      lp_internal::PivotSink sink{ring, /*phase=*/1};
-      while (true) {
-        if (++steps > kMaxIterations) {
-          PSO_LOG(WARN).Field("iterations", iterations_)
-              << "LP phase-1 iteration limit exceeded";
-          return Status::Internal("phase-1 iteration limit exceeded");
-        }
-        Pricing pr = Price(/*phase1=*/true, degenerate_streak > kBlandStreak);
-        if (!pr.any_infeasible) break;
-        if (pr.enter == SIZE_MAX) {
-          if (pr.total_violation > kInfeasTol) {
-            PSO_LOG(DEBUG).Field("residual", pr.total_violation)
-                << "LP infeasible";
-            return Status::Infeasible(
-                StrFormat("phase-1 residual %.3g", pr.total_violation));
-          }
-          break;  // Violations below tolerance: accept as feasible.
-        }
-        Status step = Step(pr.enter, /*phase1=*/true, &degenerate_streak,
-                           &sink);
-        if (!step.ok()) return step;
-        progress.Tick(
-            steps,
-            {{"pivots", static_cast<double>(iterations_)},
-             {"refactorizations", static_cast<double>(refactor_count_)},
-             {"objective", TotalViolation()},
-             {"phase", 1.0}});
-      }
-      scope.phase1_iterations = iterations_;
-      scope.total_iterations = iterations_;
-      if (phase1_span.active()) {
-        phase1_span.Arg("pivots", std::to_string(iterations_));
-      }
-    }
-
-    // ---- Phase 2: optimize. ----
-    trace::Span phase2_span("lp.phase2");
-    lp_internal::PivotSink sink{ring, /*phase=*/2};
-    degenerate_streak = 0;
-    while (true) {
-      if (++steps > kMaxIterations) {
-        PSO_LOG(WARN).Field("iterations", iterations_)
-            << "LP phase-2 iteration limit exceeded";
-        return Status::Internal("phase-2 iteration limit exceeded");
-      }
-      Pricing pr = Price(/*phase1=*/false, degenerate_streak > kBlandStreak);
-      if (pr.enter == SIZE_MAX) break;  // Optimal.
-      Status step = Step(pr.enter, /*phase1=*/false, &degenerate_streak,
-                         &sink);
-      if (!step.ok()) return step;
-      progress.Tick(
-          steps,
-          {{"pivots", static_cast<double>(iterations_)},
-           {"refactorizations", static_cast<double>(refactor_count_)},
-           {"objective", Objective()},
-           {"phase", 2.0}});
-      scope.total_iterations = iterations_;
-    }
-    scope.total_iterations = iterations_;
-    if (phase2_span.active()) {
-      phase2_span.Arg("pivots",
-                      std::to_string(iterations_ - scope.phase1_iterations));
-    }
+    progress_ = &progress;
+    Status st = Optimize();
+    progress_ = nullptr;
+    if (!st.ok()) return st;
 
     LpSolution sol;
     sol.values.assign(n_, 0.0);
@@ -665,9 +766,6 @@ class SimplexState {
     return sol;
   }
 
-  size_t iterations() const { return iterations_; }
-  size_t refactor_count() const { return refactor_count_; }
-
  private:
   size_t n_ = 0;
   size_t m_ = 0;
@@ -685,10 +783,17 @@ class SimplexState {
   std::vector<bool> row_assigned_;
   SparseVector work_;
   std::vector<double> dual_;
+  std::vector<double> saved_lower_;  // Original bounds while perturbed.
+  std::vector<double> saved_upper_;
   size_t pivots_since_refactor_ = 0;
   size_t iterations_ = 0;
   size_t refactor_count_ = 0;
+  size_t steps_ = 0;  // Pricing rounds: the heartbeat work count.
+  size_t max_pivots_ = 0;
+  lp_internal::SolveScope* scope_;
   size_t* pivot_work_;
+  trace::RingBuffer<LpPivotStep>* ring_ = nullptr;
+  progress::ProgressReporter* progress_ = nullptr;
 };
 
 }  // namespace
@@ -705,8 +810,8 @@ Result<LpSolution> SolveRevisedSimplex(const LpInstance& model,
         kPivotTraceCapacity);
   }
   metrics::GetCounter("lp.sparse.solves").Add(1);
-  SimplexState state(model, &scope.pivot_work);
-  Result<LpSolution> result = state.Run(options, scope, pivot_ring.get());
+  SimplexState state(model, &scope);
+  Result<LpSolution> result = state.Run(options, pivot_ring.get());
   if (result.ok() && pivot_ring != nullptr) {
     result->pivot_trace = pivot_ring->Drain();
     solve_span.Arg("pivots", std::to_string(result->iterations));

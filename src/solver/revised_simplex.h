@@ -4,7 +4,7 @@
 // same engine on a plain LpInstance. The header also publishes the tuning
 // constants tests need to craft instances that cross specific solver
 // regimes (e.g. enough pivots to force a periodic refactorization, or a
-// degenerate streak long enough to trip the Bland's-rule fallback).
+// degenerate streak long enough to trip the bound perturbation).
 //
 // Algorithm sketch (details in revised_simplex.cc):
 //   - Bounded-variable formulation: every constraint row i gets a logical
@@ -17,9 +17,20 @@
 //     refactorization with partial pivoting every kRefactorInterval
 //     pivots (and on warm starts).
 //   - Composite phase 1 drives out bound infeasibilities of basic
-//     variables; phase 2 optimizes. Dantzig pricing with a Bland
-//     fallback after kBlandStreak degenerate steps; entering variables
-//     that hit their own opposite bound flip without a basis change.
+//     variables; phase 2 optimizes. Dantzig pricing; entering variables
+//     that hit their own opposite bound flip without a basis change. The
+//     ratio test steps by the smallest blocking ratio and breaks
+//     near-ties by smallest basic index.
+//   - Degeneracy: when phase 2 strings more than kDegenerateStreak
+//     zero-step pivots together (an exact-answer L1 decode's optimum
+//     makes every residual zero), every finite bound of every non-fixed
+//     column is widened once by a small, deterministic, per-column
+//     amount. The perturbed problem is solved from the current basis;
+//     then the original bounds return and an unperturbed clean-up
+//     (phase 1 + phase 2, Bland's rule after a degenerate streak as the
+//     termination guarantee) decides the status and the objective.
+//   - A pivot budget (LpSolveOptions::max_pivots) bounds the work; an
+//     overrun is kResourceExhausted with every pivot counted.
 //   - Warm starts accept an LpBasis from a previous (possibly smaller)
 //     solve; a singular or mis-shaped basis silently cold-starts.
 
@@ -36,8 +47,9 @@ namespace pso {
 /// Solves `model` to optimality. `model` must be well-formed (LpProblem's
 /// builder and the lp_io decoder both guarantee that). Returns
 /// kInfeasible when no point satisfies the constraints, kUnbounded when
-/// the objective improves without bound, and kInternal on iteration-limit
-/// exhaustion.
+/// the objective improves without bound, kResourceExhausted when
+/// options.max_pivots pivots did not reach an answer, and kInternal only
+/// on numerical breakdown.
 [[nodiscard]] Result<LpSolution> SolveRevisedSimplex(
     const LpInstance& model, const LpSolveOptions& options);
 
@@ -49,9 +61,10 @@ namespace pso::revised_simplex_internal {
 /// each pivot appends one eta to the product-form file.
 inline constexpr size_t kRefactorInterval = 64;
 
-/// Degenerate (zero-step) pivots tolerated before pricing switches from
-/// Dantzig to Bland's rule.
-inline constexpr size_t kBlandStreak = 64;
+/// Consecutive degenerate (zero-step) pivots tolerated before phase 2
+/// perturbs the bounds (first pass) or pricing switches to Bland's rule
+/// (phase 1 and the unperturbed clean-up's phase 2).
+inline constexpr size_t kDegenerateStreak = 64;
 
 }  // namespace pso::revised_simplex_internal
 

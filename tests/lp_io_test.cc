@@ -1,10 +1,13 @@
 // Binary LP-instance codec: round-trip property, every decoder
-// rejection path, and the solver-facing build_status contract.
+// rejection path, the solver-facing build_status contract, and the
+// pinned worst-case instance under tests/data/.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -54,6 +57,33 @@ TEST(LpIoTest, DecodedInstanceSolves) {
   Result<LpSolution> sol = lp.Solve();
   ASSERT_TRUE(sol.ok()) << sol.status().ToString();
   EXPECT_NEAR(sol->objective, 2.0 * 0.0 - 0.5 * 2.0, 1e-9);
+}
+
+// Reads a saved instance from tests/data/ ("" when it is missing).
+std::string FetchFixture(const std::string& name) {
+  std::ifstream in(std::string(PSO_TEST_DATA_DIR) + "/" + name,
+                   std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// The pinned worst case: the decode LP of
+//   psoctl recon --decoder lp --n 64 --queries 320 --alpha 0 --seed 1
+// (the model LpDecodeRecorded builds from that run's secret and queries),
+// saved with EncodeLpInstance. Exact answers put the optimum on a
+// massively degenerate vertex, where Bland's rule alone needed over a
+// hundred thousand pivots; the solve must stay within 8 pivots per row.
+TEST(LpIoFixtureTest, PinnedExactDecodeSolvesWithinEightPivotsPerRow) {
+  const std::string bytes = FetchFixture("recon_exact_n64_seed1.psolp");
+  ASSERT_FALSE(bytes.empty()) << "fixture missing from " PSO_TEST_DATA_DIR;
+  Result<LpInstance> inst = DecodeLpInstance(bytes);
+  ASSERT_TRUE(inst.ok()) << inst.status().ToString();
+  ASSERT_EQ(inst->rows.size(), 320u);
+  ASSERT_EQ(inst->variables.size(), 64u + 2 * 320u);
+  Result<LpSolution> sol = inst->ToProblem().Solve();
+  ASSERT_TRUE(sol.ok()) << sol.status().ToString();
+  EXPECT_LE(sol->objective, 1e-6);
+  EXPECT_LE(sol->iterations, 8 * inst->rows.size());
 }
 
 TEST(LpIoTest, RejectsBadMagicAndTruncation) {

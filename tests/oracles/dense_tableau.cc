@@ -3,9 +3,10 @@
 // Kept as a differential oracle for the revised simplex: internally
 // variables are shifted to x' >= 0, upper bounds become rows, and a
 // two-phase tableau simplex (Dantzig pricing with a Bland's-rule fallback
-// after degenerate streaks) runs to optimality. Warm starts are not
-// supported — the tableau has no reusable factorization — so
-// LpSolveOptions is accepted and ignored.
+// after degenerate streaks) runs to optimality within
+// LpSolveOptions::max_pivots. Warm starts are not supported — the
+// tableau has no reusable factorization — so the basis options are
+// ignored.
 
 #include <cmath>
 #include <memory>
@@ -25,7 +26,6 @@ namespace pso::oracles {
 namespace {
 
 constexpr double kEps = 1e-9;
-constexpr size_t kMaxIterations = 200000;
 
 // Dense simplex tableau. Row layout: m constraint rows then the objective
 // row; column layout: structural+slack+artificial columns then RHS.
@@ -71,12 +71,14 @@ class Tableau {
 
 // Runs simplex minimization on the tableau whose objective row already
 // holds reduced costs w.r.t. the current basis. `allowed` masks columns
-// eligible to enter. Returns false on iteration-limit exhaustion.
+// eligible to enter. Adds its pivots to *iterations on every exit;
+// returns false when *iterations reaches max_pivots short of an answer.
 bool RunSimplex(Tableau& t, std::vector<size_t>& basis,
-                const std::vector<bool>& allowed, size_t* iterations,
-                size_t* pivot_work, lp_internal::PivotSink* sink = nullptr) {
+                const std::vector<bool>& allowed, size_t max_pivots,
+                size_t* iterations, size_t* pivot_work,
+                lp_internal::PivotSink* sink) {
   size_t degenerate_streak = 0;
-  for (size_t iter = 0; iter < kMaxIterations; ++iter) {
+  for (size_t iter = 0;; ++iter) {
     // Entering column: Dantzig (most negative reduced cost); switch to
     // Bland's rule (first negative) after a degenerate streak to guarantee
     // termination.
@@ -122,6 +124,10 @@ bool RunSimplex(Tableau& t, std::vector<size_t>& basis,
       *iterations += iter;
       return true;  // unbounded direction; caller inspects objective
     }
+    if (*iterations + iter >= max_pivots) {
+      *iterations += iter;
+      return false;
+    }
 
     degenerate_streak = (best_ratio <= kEps) ? degenerate_streak + 1 : 0;
     size_t leaving_var = basis[leave];
@@ -136,14 +142,19 @@ bool RunSimplex(Tableau& t, std::vector<size_t>& basis,
       sink->OnPivot(*iterations + iter, enter, leaving_var, -t.ObjValue());
     }
   }
-  return false;
+}
+
+Status PivotBudgetExhausted(size_t pivots, size_t max_pivots) {
+  PSO_LOG(WARN).Field("pivots", pivots) << "LP pivot budget exhausted";
+  return Status::ResourceExhausted(
+      StrFormat("pivot budget of %zu exhausted", max_pivots));
 }
 
 }  // namespace
 
 Result<LpSolution> SolveDenseTableau(const LpInstance& model,
                                      const LpSolveOptions& options) {
-  (void)options;  // No factorization to reuse: warm starts are ignored.
+  // No factorization to reuse: the basis options are ignored.
   lp_internal::SolveScope scope;
   trace::Span solve_span("lp.solve");
   // Introspection ring: one per solve, shared by both phases, collected
@@ -285,17 +296,16 @@ Result<LpSolution> SolveDenseTableau(const LpInstance& model,
       }
       std::vector<bool> allowed(cols, true);
       lp_internal::PivotSink sink{pivot_ring.get(), /*phase=*/1};
-      bool phase1_done = RunSimplex(t, basis, allowed, &iterations,
-                                    &scope.pivot_work, &sink);
+      bool phase1_done =
+          RunSimplex(t, basis, allowed, options.max_pivots, &iterations,
+                     &scope.pivot_work, &sink);
       scope.phase1_iterations = iterations;
       scope.total_iterations = iterations;
       if (phase1_span.active()) {
         phase1_span.Arg("pivots", std::to_string(iterations));
       }
       if (!phase1_done) {
-        PSO_LOG(WARN).Field("iterations", iterations)
-            << "LP phase-1 iteration limit exceeded";
-        return Status::Internal("phase-1 iteration limit exceeded");
+        return PivotBudgetExhausted(iterations, options.max_pivots);
       }
       if (-t.ObjValue() > 1e-6) {
         PSO_LOG(DEBUG).Field("residual", -t.ObjValue()) << "LP infeasible";
@@ -338,17 +348,16 @@ Result<LpSolution> SolveDenseTableau(const LpInstance& model,
   std::vector<bool> allowed(cols, true);
   for (size_t c = art_begin; c < cols; ++c) allowed[c] = false;
   lp_internal::PivotSink phase2_sink{pivot_ring.get(), /*phase=*/2};
-  bool phase2_done = RunSimplex(t, basis, allowed, &iterations,
-                                &scope.pivot_work, &phase2_sink);
+  bool phase2_done =
+      RunSimplex(t, basis, allowed, options.max_pivots, &iterations,
+                 &scope.pivot_work, &phase2_sink);
   scope.total_iterations = iterations;
   if (phase2_span.active()) {
     phase2_span.Arg("pivots",
                     std::to_string(iterations - scope.phase1_iterations));
   }
   if (!phase2_done) {
-    PSO_LOG(WARN).Field("iterations", iterations)
-        << "LP phase-2 iteration limit exceeded";
-    return Status::Internal("phase-2 iteration limit exceeded");
+    return PivotBudgetExhausted(iterations, options.max_pivots);
   }
   // Unboundedness check: a negative reduced cost with no leaving row leaves
   // the objective row non-optimal; detect by rescanning. This is a property

@@ -20,7 +20,8 @@ namespace pso::oracles {
 
 /// The original dense two-phase tableau simplex. Same contract as
 /// SolveRevisedSimplex: `model` must be well-formed; kInfeasible,
-/// kUnbounded and kInternal (iteration limit) mean what they mean there.
+/// kUnbounded and kResourceExhausted (more than options.max_pivots
+/// pivots, all of them counted in lp.pivots) mean what they mean there.
 /// The tableau has no factorization to reuse, so warm-start options are
 /// ignored and no final basis is written.
 [[nodiscard]] Result<LpSolution> SolveDenseTableau(

@@ -15,11 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "oracles/oracles.h"
@@ -127,6 +129,38 @@ bool PointFeasible(const LpInstance& inst, const std::vector<double>& x,
   return true;
 }
 
+// Visits every point where n of `planes` (planes[k] . x = rhs[k], each
+// plane with n entries) meet in a single point, and returns the minimum
+// of `eval` over them (+inf when eval rejects them all).
+template <typename Eval>
+double MinOverIntersections(const std::vector<std::vector<double>>& planes,
+                            const std::vector<double>& rhs, size_t n,
+                            Eval eval) {
+  double best = std::numeric_limits<double>::infinity();
+  std::vector<size_t> pick(n, 0);
+  // Odometer over all n-subsets (with repetition pruned by ordering).
+  auto visit = [&](auto&& self, size_t depth, size_t first) -> void {
+    if (depth == n) {
+      std::vector<std::vector<double>> a(n);
+      std::vector<double> b(n);
+      for (size_t k = 0; k < n; ++k) {
+        a[k] = planes[pick[k]];
+        b[k] = rhs[pick[k]];
+      }
+      std::vector<double> x;
+      if (!SolveSquare(std::move(a), std::move(b), &x)) return;
+      best = std::min(best, eval(x));
+      return;
+    }
+    for (size_t p = first; p < planes.size(); ++p) {
+      pick[depth] = p;
+      self(self, depth + 1, p + 1);
+    }
+  };
+  visit(visit, 0, 0);
+  return best;
+}
+
 // Enumerates every intersection of n planes drawn from the variable
 // bounds and the constraint boundaries; the minimum objective over the
 // feasible intersections is the LP optimum (the region is a polytope:
@@ -151,31 +185,16 @@ LpOracleResult BruteForceLp(const LpInstance& inst) {
   }
 
   LpOracleResult out;
-  std::vector<size_t> pick(n, 0);
-  // Odometer over all n-subsets (with repetition pruned by ordering).
-  auto visit = [&](auto&& self, size_t depth, size_t first) -> void {
-    if (depth == n) {
-      std::vector<std::vector<double>> a(n);
-      std::vector<double> b(n);
-      for (size_t k = 0; k < n; ++k) {
-        a[k] = planes[pick[k]];
-        b[k] = rhs[pick[k]];
-      }
-      std::vector<double> x;
-      if (!SolveSquare(std::move(a), std::move(b), &x)) return;
-      if (!PointFeasible(inst, x, 1e-6)) return;
-      double obj = 0.0;
-      for (size_t i = 0; i < n; ++i) obj += inst.variables[i].cost * x[i];
-      out.feasible = true;
-      if (obj < out.objective) out.objective = obj;
-      return;
-    }
-    for (size_t p = first; p < planes.size(); ++p) {
-      pick[depth] = p;
-      self(self, depth + 1, p + 1);
-    }
-  };
-  visit(visit, 0, 0);
+  out.objective = MinOverIntersections(
+      planes, rhs, n, [&](const std::vector<double>& x) {
+        if (!PointFeasible(inst, x, 1e-6)) {
+          return std::numeric_limits<double>::infinity();
+        }
+        out.feasible = true;
+        double obj = 0.0;
+        for (size_t i = 0; i < n; ++i) obj += inst.variables[i].cost * x[i];
+        return obj;
+      });
   return out;
 }
 
@@ -259,6 +278,132 @@ TEST(LpDifferentialTest, BackendsAgreeAndMatchVertexEnumeration) {
         }
         return "";
       }));
+}
+
+// ---------------------------------------------------------------------
+// Exact-answer L1 decoding LPs: the degenerate stall, the bound
+// perturbation and the clean-up, vs the dense oracle and vs vertex
+// enumeration.
+// ---------------------------------------------------------------------
+
+// The decoder's LP on exact subset-sum answers: n in [4, 10] box
+// variables x and rows <s_j, x> + u_j - v_j = <s_j, secret>. At full
+// scale (192 rows, 128 for n > 8, where the dense oracle's Bland grind
+// would exhaust its pivot budget) most cases string enough zero-step
+// pivots together to trip the perturbation.
+struct ExactL1Case {
+  size_t n = 0;
+  LpInstance lp;
+};
+
+ExactL1Case GenExactL1(Rng& rng, size_t scale) {
+  ExactL1Case c;
+  c.n = 4 + static_cast<size_t>(rng.UniformUint64(7));
+  std::vector<int> secret(c.n);
+  for (int& bit : secret) bit = rng.Bernoulli(0.5) ? 1 : 0;
+  for (size_t i = 0; i < c.n; ++i) c.lp.variables.push_back({0.0, 1.0, 0.0});
+  const size_t rows = (c.n > 8 ? 16 : 24) * scale;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (size_t j = 0; j < rows; ++j) {
+    LpInstance::Row row;
+    row.rel = Relation::kEqual;
+    for (size_t i = 0; i < c.n; ++i) {
+      if (!rng.Bernoulli(0.5)) continue;
+      row.coeffs.emplace_back(i, 1.0);
+      row.rhs += secret[i];
+    }
+    row.coeffs.emplace_back(c.lp.variables.size(), 1.0);
+    c.lp.variables.push_back({0.0, inf, 1.0});
+    row.coeffs.emplace_back(c.lp.variables.size(), -1.0);
+    c.lp.variables.push_back({0.0, inf, 1.0});
+    c.lp.rows.push_back(std::move(row));
+  }
+  return c;
+}
+
+// The L1 LP's optimum in x alone: with u_j, v_j at their best for a
+// given x, the objective is sum_j |<s_j, x> - a_j|, a convex piecewise
+// linear function whose minimum over the box sits at a vertex of the
+// arrangement of box facets and query hyperplanes.
+double BruteForceL1Fit(const ExactL1Case& c) {
+  const size_t n = c.n;
+  std::vector<std::vector<double>> planes;
+  std::vector<double> rhs;
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<double> unit(n, 0.0);
+    unit[i] = 1.0;
+    planes.push_back(unit);
+    rhs.push_back(0.0);
+    planes.push_back(std::move(unit));
+    rhs.push_back(1.0);
+  }
+  std::vector<std::vector<double>> queries;
+  for (const LpInstance::Row& row : c.lp.rows) {
+    std::vector<double> dense(n, 0.0);
+    for (const auto& [idx, coeff] : row.coeffs) {
+      if (idx < n) dense[idx] = coeff;
+    }
+    queries.push_back(dense);
+    // Repeated queries repeat a plane: enumerate each plane once.
+    if (std::find(planes.begin(), planes.end(), dense) != planes.end()) {
+      continue;
+    }
+    planes.push_back(std::move(dense));
+    rhs.push_back(row.rhs);
+  }
+  return MinOverIntersections(
+      planes, rhs, n, [&](const std::vector<double>& x) {
+        for (double xi : x) {
+          if (xi < -1e-9 || xi > 1.0 + 1e-9) {
+            return std::numeric_limits<double>::infinity();
+          }
+        }
+        double total = 0.0;
+        for (size_t j = 0; j < queries.size(); ++j) {
+          double fit = 0.0;
+          for (size_t i = 0; i < n; ++i) fit += queries[j][i] * x[i];
+          total += std::fabs(fit - c.lp.rows[j].rhs);
+        }
+        return total;
+      });
+}
+
+TEST(LpDifferentialTest, PerturbedExactL1DecodesMatchOracles) {
+  proptest::Config cfg{/*master_seed=*/0x77ee11dd, /*iterations=*/30,
+                       /*max_scale=*/8, /*min_scale=*/1};
+  size_t perturbed = 0;
+  EXPECT_TRUE(proptest::ForAll<ExactL1Case>(
+      cfg, GenExactL1, [&](const ExactL1Case& c) -> std::string {
+        const uint64_t before =
+            metrics::GetCounter("lp.perturbations").value();
+        const SolverOutcome sparse = SolveOn(oracles::kRevisedSimplex, c.lp);
+        perturbed += metrics::GetCounter("lp.perturbations").value() - before;
+        const SolverOutcome dense = SolveOn(oracles::kDenseTableau, c.lp);
+        for (const SolverOutcome* r : {&dense, &sparse}) {
+          if (!r->ok()) {
+            return StrFormat("%s failed: %s (n=%zu, %zu rows)", r->name,
+                             r->status.ToString().c_str(), c.n,
+                             c.lp.rows.size());
+          }
+        }
+        if (std::fabs(dense.objective - sparse.objective) > 1e-6) {
+          return StrFormat("solvers disagree on objective: dense=%.9g "
+                           "sparse=%.9g (n=%zu, %zu rows)",
+                           dense.objective, sparse.objective, c.n,
+                           c.lp.rows.size());
+        }
+        // Vertex enumeration is exponential in n: only the smallest
+        // arrangements get it.
+        if (c.n > 4) return "";
+        const double oracle = BruteForceL1Fit(c);
+        if (std::fabs(sparse.objective - oracle) > 1e-6) {
+          return StrFormat("objective disagrees: sparse=%.9g oracle=%.9g",
+                           sparse.objective, oracle);
+        }
+        return "";
+      }));
+  // The family exists to drive the perturbation path.
+  EXPECT_GE(perturbed, 2 * cfg.iterations / 3);
 }
 
 // ---------------------------------------------------------------------

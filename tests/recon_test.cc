@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "recon/attacks.h"
 #include "recon/oracle.h"
 
@@ -122,6 +123,54 @@ TEST(LpReconstructTest, NoiseBelowSqrtNRecovered) {
   auto r = LpReconstruct(oracle, 5 * n, rng);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GE(FractionAgree(r->estimate, secret), 0.85);
+}
+
+uint64_t CounterValue(const char* name) {
+  return metrics::GetCounter(name).value();
+}
+
+// Exact answers are the attacker's easiest case, so they must not be the
+// decoder's worst: the degenerate L1 optimum decodes exactly within a
+// small constant number of pivots per query row.
+TEST(LpReconstructTest, ExactAnswersDecodeWithinEightPivotsPerRow) {
+  for (size_t n : {96, 128}) {
+    Rng rng(1000 + n);
+    auto secret = RandomBits(n, rng);
+    ExactOracle oracle(secret);
+    const size_t rows = 5 * n;
+    const uint64_t pivots = CounterValue("lp.pivots");
+    auto r = LpReconstruct(oracle, rows, rng);
+    ASSERT_TRUE(r.ok()) << "n=" << n << ": " << r.status().ToString();
+    EXPECT_EQ(FractionAgree(r->estimate, secret), 1.0) << "n=" << n;
+    EXPECT_LE(r->decoder_residual, 1e-6) << "n=" << n;
+    EXPECT_LE(CounterValue("lp.pivots") - pivots, 8 * rows) << "n=" << n;
+  }
+}
+
+// Only the degenerate (exact-answer) decode perturbs; the noisy decode
+// keeps the plain Dantzig path. Either way the phase-1 and phase-2
+// pivot counters add up to lp.pivots.
+TEST(LpReconstructTest, OnlyExactDecodesPerturbAndPhasesAddUp) {
+  const size_t n = 32;
+  for (double c : {0.0, 0.25}) {
+    Rng rng(77);
+    auto secret = RandomBits(n, rng);
+    const double alpha = c * std::sqrt(static_cast<double>(n));
+    BoundedNoiseOracle oracle(secret, alpha, /*seed=*/5);
+    const uint64_t perturbations = CounterValue("lp.perturbations");
+    const uint64_t pivots = CounterValue("lp.pivots");
+    const uint64_t phase1 = CounterValue("lp.phase1_iterations");
+    const uint64_t phase2 = CounterValue("lp.phase2_iterations");
+    auto r = LpReconstruct(oracle, 5 * n, rng);
+    ASSERT_TRUE(r.ok()) << "c=" << c << ": " << r.status().ToString();
+    EXPECT_EQ(CounterValue("lp.perturbations") - perturbations,
+              c == 0.0 ? 1u : 0u)
+        << "c=" << c;
+    EXPECT_EQ(CounterValue("lp.phase1_iterations") - phase1 +
+                  CounterValue("lp.phase2_iterations") - phase2,
+              CounterValue("lp.pivots") - pivots)
+        << "c=" << c;
+  }
 }
 
 TEST(LeastSquaresTest, ExactQueriesFullRecovery) {

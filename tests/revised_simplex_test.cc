@@ -1,7 +1,9 @@
 // Targeted tests for the revised simplex, the LP engine: anti-cycling on
-// classic degenerate instances, eta-file refactorization on long solves,
-// warm starts (identical instance and after appending constraints),
-// recovery from singular / mis-shaped warm bases, and the degenerate
+// classic degenerate instances, the bound perturbation and clean-up that
+// answer a degenerate stall, the pivot budget, the ratio test's near-tie
+// rule, eta-file refactorization on long solves, warm starts (identical
+// instance and after appending constraints), recovery from singular /
+// mis-shaped warm bases, and the degenerate
 // shapes (empty, 1x1, all-slack) that never show up in the random
 // differential suites. The dense-tableau oracle (tests/oracles/) serves
 // as the reference throughout.
@@ -25,8 +27,9 @@ uint64_t CounterValue(const char* name) {
 }
 
 // Beale's classic cycling example: the textbook Dantzig rule cycles
-// forever on this LP, so reaching the optimum at all exercises the Bland
-// fallback that kicks in after a degenerate-pivot streak.
+// forever on this LP. Phase 2 answers the degenerate streak with one
+// bound perturbation; reaching the optimum at all exercises that
+// perturbation and the unperturbed clean-up after it.
 LpProblem BealeCyclingLp() {
   LpProblem lp;
   size_t x1 = lp.AddVariable(0.0, LpProblem::kInfinity, -0.75);
@@ -43,18 +46,26 @@ LpProblem BealeCyclingLp() {
 
 TEST(RevisedSimplexTest, BealeDegenerateCyclingInstance) {
   LpProblem lp = BealeCyclingLp();
+  const uint64_t perturbations_before = CounterValue("lp.perturbations");
   Result<LpSolution> got = lp.Solve();
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_NEAR(got->objective, -0.05, 1e-9);
-  // Termination must come from optimality, not the iteration cap.
+  EXPECT_EQ(CounterValue("lp.perturbations") - perturbations_before, 1u);
+  // Termination must come from optimality, not the pivot budget.
   EXPECT_LT(got->iterations, 1000u);
 }
 
 // An L1-fit LP shaped exactly like the reconstruction decoder: n box
-// variables, q equality rows with +u -v residual splits. Long enough to
-// cross kRefactorInterval several times.
-LpProblem L1FitLp(size_t n, size_t q, uint64_t seed) {
+// variables, q equality rows <s_j, x> + u_j - v_j = a_j over random
+// subsets s_j. By default a_j is random, so the fit is inconsistent and
+// the optimum non-degenerate; long enough to cross kRefactorInterval
+// several times. With `exact`, a_j = <s_j, secret> for a random secret:
+// the optimum makes every residual zero, the primal-degenerate vertex the
+// bound perturbation exists for.
+LpProblem L1FitLp(size_t n, size_t q, uint64_t seed, bool exact = false) {
   Rng rng(seed);
+  std::vector<int> secret(exact ? n : 0);
+  for (int& bit : secret) bit = rng.Bernoulli(0.5) ? 1 : 0;
   LpProblem lp;
   std::vector<size_t> x(n);
   for (size_t i = 0; i < n; ++i) x[i] = lp.AddVariable(0.0, 1.0, 0.0);
@@ -62,22 +73,131 @@ LpProblem L1FitLp(size_t n, size_t q, uint64_t seed) {
     size_t u = lp.AddVariable(0.0, LpProblem::kInfinity, 1.0);
     size_t v = lp.AddVariable(0.0, LpProblem::kInfinity, 1.0);
     std::vector<std::pair<size_t, double>> row;
+    double answer = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      if (rng.Bernoulli(0.5)) row.emplace_back(x[i], 1.0);
+      if (!rng.Bernoulli(0.5)) continue;
+      row.emplace_back(x[i], 1.0);
+      if (exact) answer += secret[i];
     }
     row.emplace_back(u, 1.0);
     row.emplace_back(v, -1.0);
-    lp.AddConstraint(row, Relation::kEqual,
-                     static_cast<double>(rng.UniformInt(0, (int64_t)n / 2)));
+    if (!exact) {
+      answer = static_cast<double>(rng.UniformInt(0, (int64_t)n / 2));
+    }
+    lp.AddConstraint(row, Relation::kEqual, answer);
   }
   return lp;
+}
+
+TEST(RevisedSimplexTest, DegenerateStallPerturbsOnceThenCleansUp) {
+  const size_t q = 160;
+  LpProblem lp = L1FitLp(/*n=*/32, q, /*seed=*/9, /*exact=*/true);
+  const uint64_t perturbations = CounterValue("lp.perturbations");
+  const uint64_t pivots = CounterValue("lp.pivots");
+  const uint64_t phase1 = CounterValue("lp.phase1_iterations");
+  const uint64_t phase2 = CounterValue("lp.phase2_iterations");
+  Result<LpSolution> got = lp.Solve();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(CounterValue("lp.perturbations") - perturbations, 1u);
+  // The clean-up restores the original bounds: the answer is the exact
+  // problem's optimum (0: the secret fits every answer), inside the exact
+  // problem's box. proptest_solver_test checks the path against the
+  // dense oracle on smaller instances.
+  EXPECT_LE(got->objective, 1e-6);
+  EXPECT_GE(got->objective, 0.0);
+  for (size_t i = 0; i < got->values.size(); ++i) {
+    EXPECT_GE(got->values[i], lp.instance().variables[i].lower) << i;
+    EXPECT_LE(got->values[i], lp.instance().variables[i].upper) << i;
+  }
+  EXPECT_LE(got->iterations, 8 * q);
+  // Perturbed pass and clean-up book their pivots to the phase that
+  // made them, and the phases add up to the total.
+  const uint64_t spent = CounterValue("lp.pivots") - pivots;
+  EXPECT_EQ(spent, got->iterations);
+  EXPECT_EQ(CounterValue("lp.phase1_iterations") - phase1 +
+                CounterValue("lp.phase2_iterations") - phase2,
+            spent);
+
+  // The perturbation is a fixed function of the column index: a second
+  // solve replays the first bit for bit.
+  Result<LpSolution> again = lp.Solve();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->iterations, got->iterations);
+  EXPECT_EQ(again->values, got->values);
+}
+
+TEST(RevisedSimplexTest, PivotBudgetOverrunIsResourceExhausted) {
+  // Running out of pivots is a budget outcome, never kInternal, on the
+  // engine and its oracle alike; the pivots spent are all counted, and
+  // the two phases add up to them.
+  LpProblem lp = L1FitLp(/*n=*/16, /*q=*/80, /*seed=*/3, /*exact=*/true);
+  for (const oracles::LpEngine& engine :
+       {oracles::kDenseTableau, oracles::kRevisedSimplex}) {
+    const uint64_t pivots = CounterValue("lp.pivots");
+    const uint64_t phase1 = CounterValue("lp.phase1_iterations");
+    const uint64_t phase2 = CounterValue("lp.phase2_iterations");
+    LpSolveOptions capped;
+    capped.max_pivots = 10;
+    Result<LpSolution> got = engine.solve(lp.instance(), capped);
+    ASSERT_FALSE(got.ok()) << engine.name;
+    EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted)
+        << engine.name << ": " << got.status().ToString();
+    EXPECT_EQ(CounterValue("lp.pivots") - pivots, 10u) << engine.name;
+    EXPECT_EQ(CounterValue("lp.phase1_iterations") - phase1 +
+                  CounterValue("lp.phase2_iterations") - phase2,
+              10u)
+        << engine.name;
+
+    // The default budget is ample for the same instance.
+    Result<LpSolution> full = engine.solve(lp.instance(), LpSolveOptions{});
+    ASSERT_TRUE(full.ok()) << engine.name << ": " << full.status().ToString();
+    EXPECT_NEAR(full->objective, 0.0, 1e-6) << engine.name;
+    EXPECT_GT(full->iterations, 10u) << engine.name;
+  }
+}
+
+TEST(RevisedSimplexTest, BoundFlipsDoNotSpendThePivotBudget) {
+  // Both entering columns reach their own upper bound before the slack
+  // row blocks, so the optimum takes bound flips only, and a zero pivot
+  // budget still solves it.
+  LpProblem lp;
+  size_t x = lp.AddVariable(0.0, 1.0, -1.0);
+  size_t y = lp.AddVariable(0.0, 2.0, -3.0);
+  lp.AddConstraint({{x, 1.0}, {y, 1.0}}, Relation::kLessEq, 10.0);
+  const uint64_t flips = CounterValue("lp.bound_flips");
+  LpSolveOptions no_pivots;
+  no_pivots.max_pivots = 0;
+  Result<LpSolution> got = lp.Solve(no_pivots);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_NEAR(got->objective, -7.0, 1e-9);
+  EXPECT_EQ(got->iterations, 0u);
+  EXPECT_EQ(CounterValue("lp.bound_flips") - flips, 2u);
+}
+
+TEST(RevisedSimplexTest, RatioTestNearTieNeverOvershootsASteepRow) {
+  // Entering x blocks at t = 5e-10 in row 0 and at t = 0 in row 1, whose
+  // coefficient 1e9 magnifies any overshoot a billionfold. Row 0's
+  // logical may leave (a near-tie, smaller basic index), but the step
+  // must be the smallest ratio: a step of 5e-10 leaves 1e9 x = 0.5 > 0.
+  LpProblem lp;
+  size_t x = lp.AddVariable(0.0, 10.0, -1.0);
+  lp.AddConstraint({{x, 1.0}}, Relation::kLessEq, 5e-10);
+  lp.AddConstraint({{x, 1e9}}, Relation::kLessEq, 0.0);
+  Result<LpSolution> got = lp.Solve();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_LE(1e9 * got->values[x], 1e-6);
+  EXPECT_NEAR(got->objective, 0.0, 1e-12);
 }
 
 TEST(RevisedSimplexTest, LongSolveCrossesRefactorizationInterval) {
   LpProblem lp = L1FitLp(/*n=*/16, /*q=*/96, /*seed=*/71);
   const uint64_t refactors_before = CounterValue("lp.refactorizations");
+  const uint64_t perturbations_before = CounterValue("lp.perturbations");
   Result<LpSolution> sparse = lp.Solve();
   ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+  // Inconsistent answers leave the optimum non-degenerate: no stall, so
+  // no perturbation and exactly the plain Dantzig path.
+  EXPECT_EQ(CounterValue("lp.perturbations") - perturbations_before, 0u);
   ASSERT_GT(sparse->iterations, revised_simplex_internal::kRefactorInterval)
       << "instance too easy to exercise refactorization";
   // At least one periodic refactorization beyond the initial one.
