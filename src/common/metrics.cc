@@ -150,13 +150,6 @@ Counter& Registry::GetCounter(const std::string& name) {
   return *slot;
 }
 
-Timer& Registry::GetTimer(const std::string& name) {
-  MutexLock lock(mu_);
-  auto& slot = timers_[name];
-  if (!slot) slot = std::make_unique<Timer>();
-  return *slot;
-}
-
 Histogram& Registry::GetHistogram(const std::string& name) {
   MutexLock lock(mu_);
   auto& slot = histograms_[name];
@@ -174,9 +167,6 @@ Snapshot Registry::TakeSnapshot() const {
   Snapshot snap;
   for (const auto& [name, counter] : counters_) {
     snap.counters[name] = counter->value();
-  }
-  for (const auto& [name, timer] : timers_) {
-    snap.timers[name] = Snapshot::TimerValue{timer->seconds(), timer->count()};
   }
   for (const auto& [name, hist] : histograms_) {
     Snapshot::HistogramValue hv;
@@ -196,14 +186,6 @@ Snapshot Registry::TakeSnapshot() const {
 
 void Registry::MergeFrom(const Snapshot& snap) {
   for (const auto& [name, value] : snap.counters) GetCounter(name).Add(value);
-  for (const auto& [name, tv] : snap.timers) {
-    Timer& t = GetTimer(name);
-    // Record() bumps count by one; reproduce the source's interval count.
-    if (tv.count > 0) {
-      t.Record(tv.seconds);
-      for (uint64_t i = 1; i < tv.count; ++i) t.Record(0.0);
-    }
-  }
   for (const auto& [name, hv] : snap.histograms) {
     GetHistogram(name).MergeParts(hv.count, hv.sum_fp, hv.min, hv.max,
                                   hv.buckets);
@@ -215,7 +197,6 @@ void Registry::MergeFrom(const Snapshot& snap) {
 void Registry::ResetAll() {
   MutexLock lock(mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, timer] : timers_) timer->Reset();
   for (auto& [name, hist] : histograms_) hist->Reset();
   gauges_.clear();
 }
@@ -313,16 +294,6 @@ std::string SnapshotToJson(const Snapshot& snap) {
     out += StrFormat("\"%s\": %llu", JsonEscape(name).c_str(),
                      static_cast<unsigned long long>(value));
   }
-  out += "}, \"timers\": {";
-  first = true;
-  for (const auto& [name, tv] : snap.timers) {
-    if (!first) out += ", ";
-    first = false;
-    out += StrFormat("\"%s\": {\"seconds\": %s, \"count\": %llu}",
-                     JsonEscape(name).c_str(),
-                     FormatDouble(tv.seconds).c_str(),
-                     static_cast<unsigned long long>(tv.count));
-  }
   out += "}, \"gauges\": {";
   first = true;
   for (const auto& [name, value] : snap.gauges) {
@@ -347,7 +318,6 @@ std::string SnapshotToText(const Snapshot& snap) {
   if (snap.empty()) return "(no metrics recorded)\n";
   size_t width = 0;
   for (const auto& [name, v] : snap.counters) width = std::max(width, name.size());
-  for (const auto& [name, v] : snap.timers) width = std::max(width, name.size());
   for (const auto& [name, v] : snap.gauges) width = std::max(width, name.size());
   for (const auto& [name, v] : snap.histograms) {
     width = std::max(width, name.size());
@@ -360,13 +330,6 @@ std::string SnapshotToText(const Snapshot& snap) {
     for (const auto& [name, value] : snap.counters) {
       out += StrFormat("  %-*s %llu\n", w, name.c_str(),
                        static_cast<unsigned long long>(value));
-    }
-  }
-  if (!snap.timers.empty()) {
-    out += "timers:\n";
-    for (const auto& [name, tv] : snap.timers) {
-      out += StrFormat("  %-*s %.6fs over %llu span(s)\n", w, name.c_str(),
-                       tv.seconds, static_cast<unsigned long long>(tv.count));
     }
   }
   if (!snap.gauges.empty()) {
@@ -433,22 +396,6 @@ std::string ExpositionToProm(const Snapshot& snap) {
                      n.c_str());
     out += StrFormat("# TYPE %s gauge\n", n.c_str());
     out += StrFormat("%s %s\n", n.c_str(), PromDouble(value).c_str());
-  }
-  for (const auto& [name, tv] : snap.timers) {
-    // A same-named histogram (the ScopedSpan dual-record case) exposes
-    // _sum/_count itself; emitting the summary too would publish the
-    // metric under two conflicting TYPEs, which scrapers reject.
-    if (snap.histograms.count(name)) continue;
-    // A pso timer is (total seconds, interval count) — expose it as a
-    // quantile-less summary, the Prometheus type with that exact shape.
-    const std::string n = PromName(name) + "_seconds";
-    out += StrFormat("# HELP %s Accumulated wall-clock time (pso timer)\n",
-                     n.c_str());
-    out += StrFormat("# TYPE %s summary\n", n.c_str());
-    out += StrFormat("%s_sum %s\n", n.c_str(),
-                     PromDouble(tv.seconds).c_str());
-    out += StrFormat("%s_count %llu\n", n.c_str(),
-                     static_cast<unsigned long long>(tv.count));
   }
   for (const auto& [name, hv] : snap.histograms) {
     const std::string n = PromName(name) + "_seconds";

@@ -1,6 +1,7 @@
-// Process-wide observability: named counters, wall-clock timers,
-// mergeable latency histograms, and scoped spans, collected in a registry
-// that benches and psoctl snapshot into BENCH_*.json / --metrics dumps.
+// Process-wide observability: named counters, gauges and mergeable
+// latency histograms, collected in a registry that benches and psoctl
+// snapshot into BENCH_*.json / --metrics dumps. Code paths are timed by
+// trace::Span (common/trace.h), which records into these histograms.
 //
 // Determinism contract (matters because BENCH_*.json files are diffed
 // across runs to detect perf and behavior regressions):
@@ -9,10 +10,9 @@
 //    They are atomic and only ever summed, so concurrent increments from
 //    ParallelFor workers commute: same seed + same thread count => the
 //    same counter values on every run, at any interleaving.
-//  - Timers and gauges hold wall-clock durations and point-in-time
-//    observations (worker-queue imbalance). These are inherently
-//    run-dependent and are reported in separate JSON sections so tooling
-//    can diff the deterministic "counters" object exactly.
+//  - Gauges hold point-in-time observations (worker-queue imbalance).
+//    These are run-dependent and are reported in a separate JSON section
+//    so tooling can diff the deterministic "counters" object exactly.
 //  - Histograms hold per-event value distributions over FIXED log-scale
 //    bucket boundaries (see Histogram). Every internal accumulator is an
 //    integer (bucket tallies, fixed-point sum) or an order-free extremum
@@ -25,7 +25,7 @@
 //
 // Hot-path usage: look the handle up once and keep the reference —
 // Registry::GetCounter takes a lock for the name lookup, but the returned
-// Counter/Timer/Histogram lives for the registry's lifetime and its
+// Counter/Histogram lives for the registry's lifetime and its
 // operations are lock-free atomics.
 
 #ifndef PSO_COMMON_METRICS_H_
@@ -33,7 +33,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -53,32 +52,6 @@ class Counter {
 
  private:
   std::atomic<uint64_t> value_{0};
-};
-
-/// Accumulated wall-clock time plus the number of recorded intervals.
-/// Thread-safe. Durations are run-dependent — never diff them for
-/// determinism checks; that is what counters are for.
-class Timer {
- public:
-  /// Adds one interval of `seconds` wall-clock time.
-  void Record(double seconds) {
-    nanos_.fetch_add(static_cast<uint64_t>(seconds * 1e9),
-                     std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  double seconds() const {
-    return static_cast<double>(nanos_.load(std::memory_order_relaxed)) * 1e-9;
-  }
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  void Reset() {
-    nanos_.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<uint64_t> nanos_{0};
-  std::atomic<uint64_t> count_{0};
 };
 
 /// Log-bucketed value distribution with FIXED bucket boundaries, so two
@@ -158,15 +131,11 @@ class Histogram {
   std::atomic<uint64_t> max_bits_{0xFFF0000000000000ull};  // -inf
 };
 
-/// Everything the registry knows at one instant. Counters/timers/
+/// Everything the registry knows at one instant. Counters and
 /// histograms from a snapshot can be merged back into another registry
 /// (worker-local collection), and the maps are ordered so rendering is
 /// stable.
 struct Snapshot {
-  struct TimerValue {
-    double seconds = 0.0;
-    uint64_t count = 0;
-  };
   /// A histogram's state at one instant. `buckets` is sparse: only
   /// non-zero tallies, keyed by bucket index. `sum_fp` is the exact
   /// fixed-point sum (Histogram::kSumScale units) so merging snapshots
@@ -191,13 +160,11 @@ struct Snapshot {
     double ValueAtQuantile(double q) const;
   };
   std::map<std::string, uint64_t> counters;
-  std::map<std::string, TimerValue> timers;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramValue> histograms;
 
   bool empty() const {
-    return counters.empty() && timers.empty() && gauges.empty() &&
-           histograms.empty();
+    return counters.empty() && gauges.empty() && histograms.empty();
   }
 };
 
@@ -213,11 +180,9 @@ class Registry {
   /// The process-wide registry every instrumented module records into.
   static Registry& Global();
 
-  /// Returns the counter/timer/histogram registered under `name`,
-  /// creating it on first use. The reference stays valid for the
-  /// registry's lifetime.
+  /// Returns the counter/histogram registered under `name`, creating it
+  /// on first use. The reference stays valid for the registry's lifetime.
   Counter& GetCounter(const std::string& name) PSO_EXCLUDES(mu_);
-  Timer& GetTimer(const std::string& name) PSO_EXCLUDES(mu_);
   Histogram& GetHistogram(const std::string& name) PSO_EXCLUDES(mu_);
 
   /// Sets (overwrites) a point-in-time observation.
@@ -228,27 +193,26 @@ class Registry {
   /// not a consistent cut, which is fine for monotone counters).
   Snapshot TakeSnapshot() const PSO_EXCLUDES(mu_);
 
-  /// Adds `snap`'s counters, timers, and histograms into this registry
-  /// and overwrites its gauges — the merge step for worker-local
-  /// registries. Merging is associative and commutative over counters/
-  /// timers/histograms (integer adds + extremum folds), so merge order
+  /// Adds `snap`'s counters and histograms into this registry and
+  /// overwrites its gauges — the merge step for worker-local registries.
+  /// Merging is associative and commutative over counters and
+  /// histograms (integer adds + extremum folds), so merge order
   /// cannot change totals, and merging N shards is bit-identical to
   /// recording everything into one registry.
   void MergeFrom(const Snapshot& snap) PSO_EXCLUDES(mu_);
 
-  /// Zeroes every counter and timer and drops all gauges. Handles remain
-  /// valid. Intended for tests and for psoctl between subcommands.
+  /// Zeroes every counter and histogram and drops all gauges. Handles
+  /// remain valid. Intended for tests and for psoctl between subcommands.
   void ResetAll() PSO_EXCLUDES(mu_);
 
  private:
   mutable Mutex mu_ PSO_LOCK_ORDER(kMetrics){LockRank::kMetrics,
                                              "metrics.registry"};
   // unique_ptr gives handles stable addresses across map rehash/insert.
-  // The maps are guarded; the Counter/Timer objects they point to are
+  // The maps are guarded; the Counter/Histogram objects they point to are
   // internally atomic and deliberately updated lock-free.
   std::map<std::string, std::unique_ptr<Counter>> counters_
       PSO_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Timer>> timers_ PSO_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       PSO_GUARDED_BY(mu_);
   std::map<std::string, double> gauges_ PSO_GUARDED_BY(mu_);
@@ -258,9 +222,6 @@ class Registry {
 inline Counter& GetCounter(const std::string& name) {
   return Registry::Global().GetCounter(name);
 }
-inline Timer& GetTimer(const std::string& name) {
-  return Registry::Global().GetTimer(name);
-}
 inline Histogram& GetHistogram(const std::string& name) {
   return Registry::Global().GetHistogram(name);
 }
@@ -268,44 +229,11 @@ inline void SetGauge(const std::string& name, double value) {
   Registry::Global().SetGauge(name, value);
 }
 
-/// Records the wall-clock time between construction and destruction into
-/// a Timer, and (for named spans) the same interval into a same-named
-/// Histogram — so every instrumented hot path gets a per-call latency
-/// distribution (p50..p999) next to its aggregate timer, for free.
-/// Non-copyable; stack-allocate one per measured scope.
-class ScopedSpan {
- public:
-  explicit ScopedSpan(Timer& timer)
-      : timer_(timer), hist_(nullptr),
-        start_(std::chrono::steady_clock::now()) {}
-  ScopedSpan(Timer& timer, Histogram& hist)
-      : timer_(timer), hist_(&hist),
-        start_(std::chrono::steady_clock::now()) {}
-  /// Span over the global registry's timer `name` plus the histogram of
-  /// the same name.
-  explicit ScopedSpan(const std::string& name)
-      : ScopedSpan(GetTimer(name), GetHistogram(name)) {}
-  ~ScopedSpan() {
-    const double seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start_)
-                               .count();
-    timer_.Record(seconds);
-    if (hist_ != nullptr) hist_->Record(seconds);
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  Timer& timer_;
-  Histogram* hist_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 /// JSON-escapes `s` (quotes, backslashes, control characters).
 std::string JsonEscape(const std::string& s);
 
-/// Renders `snap` as a JSON object with "counters", "timers", "gauges",
-/// and "histograms" members (each an object keyed by metric name, keys
+/// Renders `snap` as a JSON object with "counters", "gauges", and
+/// "histograms" members (each an object keyed by metric name, keys
 /// sorted). Names and string values are JSON-escaped; non-finite numbers
 /// render as null (both would otherwise produce invalid JSON).
 std::string SnapshotToJson(const Snapshot& snap);
@@ -314,8 +242,8 @@ std::string SnapshotToJson(const Snapshot& snap);
 std::string SnapshotToText(const Snapshot& snap);
 
 /// Renders `snap` in the Prometheus text exposition format (version
-/// 0.0.4): counters as `<name>_total`, gauges as gauges, timers as
-/// (sum, count) summaries, histograms as cumulative `_bucket{le="..."}`
+/// 0.0.4): counters as `<name>_total`, gauges as gauges, histograms as
+/// cumulative `_bucket{le="..."}`
 /// series ending in `le="+Inf"` plus `_sum`/`_count`. Metric names are
 /// sanitized to [a-zA-Z0-9_:] as the format requires.
 std::string ExpositionToProm(const Snapshot& snap);

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <map>
 
-#include "common/metrics.h"  // JsonEscape
+#include "common/metrics.h"
 #include "common/str_util.h"
 
 namespace pso::trace {
@@ -59,7 +59,7 @@ void Collector::Enable(size_t capacity) {
   events_.clear();
   dropped_ = 0;
   capacity_ = capacity == 0 ? 1 : capacity;
-  epoch_ns_ = SteadyNowNs();
+  epoch_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
   enabled_.store(true, std::memory_order_relaxed);
 }
 
@@ -71,7 +71,7 @@ void Collector::Clear() {
   MutexLock lock(mu_);
   events_.clear();
   dropped_ = 0;
-  epoch_ns_ = SteadyNowNs();
+  epoch_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
 }
 
 uint64_t Collector::dropped() const {
@@ -84,15 +84,9 @@ std::vector<Event> Collector::TakeEvents() const {
   return events_;
 }
 
-uint64_t Collector::NowNs() const {
-  if (!enabled()) return 0;
-  uint64_t epoch;
-  {
-    MutexLock lock(mu_);
-    epoch = epoch_ns_;
-  }
-  uint64_t now = SteadyNowNs();
-  return now > epoch ? now - epoch : 0;
+uint64_t Collector::SinceEpoch(uint64_t steady_ns) const {
+  const uint64_t epoch = epoch_ns_.load(std::memory_order_relaxed);
+  return steady_ns > epoch ? steady_ns - epoch : 0;
 }
 
 void Collector::Record(Event event) {
@@ -135,12 +129,14 @@ ContextScope::ContextScope(uint64_t parent_span_id) {
 
 ContextScope::~ContextScope() { State().inherited_parent = saved_; }
 
-Span::Span(const char* name) : active_(Enabled()), name_(name) {
+Span::Span(const char* name) : Span(name, metrics::GetHistogram(name)) {}
+
+Span::Span(const char* name, metrics::Histogram& hist)
+    : hist_(hist), name_(name), active_(Enabled()),
+      start_ns_(SteadyNowNs()) {
   if (!active_) return;
-  Collector& c = Collector::Global();
-  id_ = c.NextSpanId();
+  id_ = Collector::Global().NextSpanId();
   parent_ = ParentForNewEvent();
-  start_ns_ = c.NowNs();
   State().span_stack.push_back(id_);
 }
 
@@ -150,6 +146,8 @@ void Span::Arg(const char* key, std::string value) {
 }
 
 Span::~Span() {
+  const uint64_t dur_ns = SteadyNowNs() - start_ns_;  // monotonic clock
+  hist_.Record(static_cast<double>(dur_ns) * 1e-9);
   if (!active_) return;
   ThreadState& s = State();
   // Pop our frame. Scoped construction order guarantees we are on top of
@@ -164,9 +162,8 @@ Span::~Span() {
   e.id = id_;
   e.parent = parent_;
   e.track = CurrentTrack();
-  e.start_ns = start_ns_;
-  uint64_t end = c.NowNs();
-  e.dur_ns = end > start_ns_ ? end - start_ns_ : 0;
+  e.start_ns = c.SinceEpoch(start_ns_);
+  e.dur_ns = dur_ns;
   e.args = std::move(args_);
   c.Record(std::move(e));
 }
@@ -180,7 +177,7 @@ void Instant(const char* name,
   e.name = name;
   e.parent = ParentForNewEvent();
   e.track = CurrentTrack();
-  e.start_ns = c.NowNs();
+  e.start_ns = c.SinceEpoch(SteadyNowNs());
   e.args = std::move(args);
   c.Record(std::move(e));
 }
@@ -193,7 +190,7 @@ void CounterSample(const char* name, double value) {
   e.name = name;
   e.parent = ParentForNewEvent();
   e.track = CurrentTrack();
-  e.start_ns = c.NowNs();
+  e.start_ns = c.SinceEpoch(SteadyNowNs());
   e.value = value;
   c.Record(std::move(e));
 }

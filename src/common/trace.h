@@ -1,6 +1,8 @@
-// Hierarchical tracing, layered on top of (not replacing) the metrics
-// registry: where metrics.h answers "how much, in total", this module
-// answers "where inside one run, and in what order".
+// Hierarchical tracing and the one timing primitive. trace::Span is how
+// a code path is timed: every span records its duration into the
+// same-named metrics::Histogram ("how much, in total"), and when tracing
+// is on it also records a trace event ("where inside one run, and in
+// what order").
 //
 // The model is a tree of spans. Each thread keeps a stack of open spans;
 // a new span's parent is the top of that stack. ParallelFor propagates
@@ -21,12 +23,13 @@
 //    deterministic workload the output is byte-identical at 1 or N
 //    threads (asserted in trace_test.cc). This is the diffable form.
 //
-// Cost contract: collection is off by default and every entry point
-// checks one relaxed atomic first, so instrumented code paths pay a
-// single predictable branch when tracing is disabled. When enabled,
-// events are appended under a mutex into a bounded buffer (drops are
-// counted, never blocking) — tracing is a debugging/audit mode, not a
-// hot-path facility.
+// Cost contract: a span always pays two steady_clock reads and one
+// lock-free histogram record; the by-name constructor adds a registry
+// lookup, which hot paths avoid by passing a pre-resolved histogram.
+// Event collection is off by default and every trace entry point checks
+// one relaxed atomic first. When enabled, events are appended under a
+// mutex into a bounded buffer (drops are counted, never blocking) —
+// tracing is a debugging/audit mode, not a hot-path facility.
 
 #ifndef PSO_COMMON_TRACE_H_
 #define PSO_COMMON_TRACE_H_
@@ -39,6 +42,10 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+
+namespace pso::metrics {
+class Histogram;
+}  // namespace pso::metrics
 
 namespace pso::trace {
 
@@ -146,26 +153,26 @@ class Collector {
   /// handler; best-effort.
   void FlushToConfiguredPath() const PSO_EXCLUDES(mu_);
 
-  /// Monotonic nanoseconds since Enable() (0 when disabled).
-  uint64_t NowNs() const PSO_EXCLUDES(mu_);
-
   // Internals used by Span/Instant/CounterSample.
   void Record(Event event) PSO_EXCLUDES(mu_);
   uint64_t NextSpanId();
+  /// Converts a steady_clock reading (ns) to ns since Enable()/Clear().
+  uint64_t SinceEpoch(uint64_t steady_ns) const;
 
  private:
   Collector() = default;
 
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> next_span_id_{1};
+  /// steady_clock anchor, set by Enable/Clear. Atomic so a span edge
+  /// never takes mu_ to read it.
+  std::atomic<uint64_t> epoch_ns_{0};
   mutable Mutex mu_ PSO_LOCK_ORDER(kTrace){LockRank::kTrace,
                                            "trace.collector"};
   size_t capacity_ PSO_GUARDED_BY(mu_) = kDefaultCapacity;
   uint64_t dropped_ PSO_GUARDED_BY(mu_) = 0;
   std::vector<Event> events_ PSO_GUARDED_BY(mu_);
   std::string flush_path_ PSO_GUARDED_BY(mu_);
-  /// steady_clock anchor, set by Enable.
-  uint64_t epoch_ns_ PSO_GUARDED_BY(mu_) = 0;
 };
 
 /// True when the global collector is recording. The one branch
@@ -190,11 +197,18 @@ class ContextScope {
   uint64_t saved_;
 };
 
-/// RAII span: records a kSpan event covering construction..destruction.
-/// Near-free when tracing is disabled (one relaxed load, no allocation).
+/// RAII timing span — the one way to time a code path. Reads
+/// steady_clock once at open and once at close and always records the
+/// interval, in seconds, into its histogram. When tracing was on at open
+/// it also records a kSpan event from the same two reads, so the event's
+/// dur_ns and the histogram's sum agree.
 class Span {
  public:
+  /// Records into the global registry's histogram named `name`.
   explicit Span(const char* name);
+  /// Records into `hist`, resolved once by the caller: hot paths, and
+  /// tests over a private registry.
+  Span(const char* name, metrics::Histogram& hist);
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -205,14 +219,16 @@ class Span {
 
   /// This span's id (0 when inactive) — parent for manual child events.
   uint64_t id() const { return id_; }
+  /// True when tracing was on at open (the event will be recorded).
   bool active() const { return active_; }
 
  private:
+  metrics::Histogram& hist_;
+  const char* name_;
   bool active_;
   uint64_t id_ = 0;
   uint64_t parent_ = 0;
-  uint64_t start_ns_ = 0;
-  const char* name_;
+  uint64_t start_ns_;  // steady_clock reading at open
   std::vector<std::pair<std::string, std::string>> args_;
 };
 

@@ -13,7 +13,6 @@ AuditResult AuditPrivacyLoss(const BucketizedMechanism& mechanism,
                              size_t trials, Rng& rng, size_t min_support) {
   PSO_CHECK(trials > 0);
   metrics::GetCounter("dp.audit_trials").Add(2 * trials);  // both inputs
-  metrics::ScopedSpan span("dp.audit");
   PSO_TRACE_SPAN("dp.audit");
   std::map<int64_t, std::pair<size_t, size_t>> histogram;
   for (size_t t = 0; t < trials; ++t) {

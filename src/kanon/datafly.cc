@@ -33,7 +33,6 @@ Result<AnonymizationResult> DataflyAnonymize(const Dataset& data,
                                              const DataflyOptions& options) {
   metrics::GetCounter("kanon.datafly_runs").Add(1);
   metrics::GetCounter("kanon.records_anonymized").Add(data.size());
-  metrics::ScopedSpan span("kanon.anonymize");
   PSO_TRACE_SPAN("kanon.anonymize");
   if (data.empty()) {
     return Status::InvalidArgument("cannot anonymize an empty dataset");

@@ -44,7 +44,6 @@ Result<AnonymizationResult> MondrianAnonymize(const Dataset& data,
                                               const MondrianOptions& options) {
   metrics::GetCounter("kanon.mondrian_runs").Add(1);
   metrics::GetCounter("kanon.records_anonymized").Add(data.size());
-  metrics::ScopedSpan span("kanon.anonymize");
   PSO_TRACE_SPAN("kanon.anonymize");
   if (data.empty()) {
     return Status::InvalidArgument("cannot anonymize an empty dataset");

@@ -49,7 +49,6 @@ LinkageReport JoinAttack(const IdentifiedPopulation& pop,
                          const std::vector<size_t>& qi_attrs) {
   metrics::GetCounter("linkage.join_attacks").Add(1);
   metrics::GetCounter("linkage.released_records").Add(pop.records.size());
-  metrics::ScopedSpan span("linkage.join_attack");
   PSO_TRACE_SPAN("linkage.join_attack");
   LinkageReport report;
   report.released_records = pop.records.size();
@@ -86,7 +85,6 @@ LinkageReport JoinAttackGeneralized(
   PSO_CHECK(release.size() == pop.records.size());
   metrics::GetCounter("linkage.join_attacks").Add(1);
   metrics::GetCounter("linkage.released_records").Add(release.size());
-  metrics::ScopedSpan span("linkage.join_attack");
   PSO_TRACE_SPAN("linkage.join_attack");
   LinkageReport report;
   report.released_records = release.size();

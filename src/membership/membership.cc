@@ -68,7 +68,6 @@ MembershipResult RunMembershipExperiment(const Universe& universe,
   // counter-derived stream: the statistic vectors are identical at any
   // thread count.
   metrics::GetCounter("membership.trials").Add(options.trials);
-  metrics::ScopedSpan span("membership.experiment");
   PSO_TRACE_SPAN("membership.experiment");
   std::vector<double> in_stats(options.trials);
   std::vector<double> out_stats(options.trials);

@@ -86,10 +86,9 @@ PsoGameResult PsoGame::RunTrialLoop(
   std::vector<TrialAccum> accums(NumChunks(options_.trials, chunk));
 
   metrics::GetCounter("pso.trials").Add(options_.trials);
-  metrics::ScopedSpan span("pso.trial_loop");
-  trace::Span trace_span("pso.trial_loop");
-  if (trace_span.active()) {
-    trace_span.Arg("trials", std::to_string(options_.trials));
+  trace::Span span("pso.trial_loop");
+  if (span.active()) {
+    span.Arg("trials", std::to_string(options_.trials));
   }
   ParallelFor(
       options_.pool, options_.trials,

@@ -15,8 +15,9 @@ QueryService::QueryService(std::vector<uint8_t> secret,
       ledger_(options.eps_per_query > 0.0 ? options.client_budget_eps : 0.0),
       queries_counter_(metrics::GetCounter("service.queries")),
       rejections_counter_(metrics::GetCounter("service.budget_rejections")),
-      answer_timer_(metrics::GetTimer("service.answer")),
+      batches_counter_(metrics::GetCounter("service.batches")),
       answer_hist_(metrics::GetHistogram("service.answer")),
+      batch_hist_(metrics::GetHistogram("service.batch")),
       batch_size_hist_(metrics::GetHistogram("service.batch_size")) {}
 
 uint64_t QueryService::ClientSeed(uint64_t noise_seed, uint64_t client) {
@@ -28,7 +29,7 @@ uint64_t QueryService::ClientSeed(uint64_t noise_seed, uint64_t client) {
 
 QueryOutcome QueryService::Answer(uint64_t client,
                                   const recon::SubsetQuery& query) {
-  metrics::ScopedSpan span(answer_timer_, answer_hist_);
+  trace::Span span("service.answer", answer_hist_);
   if (query.size() != secret_.size()) {
     return Status::InvalidArgument("query length != dataset size");
   }
@@ -55,8 +56,8 @@ QueryOutcome QueryService::Answer(uint64_t client,
 
 std::vector<QueryOutcome> QueryService::AnswerBatch(
     uint64_t client, const std::vector<recon::SubsetQuery>& queries) {
-  PSO_TRACE_SPAN("service.batch");
-  metrics::GetCounter("service.batches").Add(1);
+  trace::Span span("service.batch", batch_hist_);
+  batches_counter_.Add(1);
   batch_size_hist_.Record(static_cast<double>(queries.size()));
   std::vector<QueryOutcome> outcomes;
   outcomes.reserve(queries.size());

@@ -152,7 +152,13 @@ void QueryServer::RequestShutdown() {
 void QueryServer::HandleConnection(int fd) {
   PSO_TRACE_SPAN("service.connection");
   const size_t max_batch = service_->options().max_batch;
+  // The longest valid request is a Q line: "Q " + a 20-digit client id
+  // + " " + n query bits = n + 23 bytes. A line past this cap is
+  // answered with one error and the connection closes, so one client
+  // cannot grow the buffer without bound.
+  const size_t max_line = service_->n() + 64;
   std::string buffer;
+  size_t scanned = 0;  // buffer[0, scanned) is known to hold no '\n'
   char chunk[4096];
   bool alive = true;
   while (alive) {
@@ -169,15 +175,23 @@ void QueryServer::HandleConnection(int fd) {
     }
     if (got == 0) break;
     buffer.append(chunk, static_cast<size_t>(got));
-    // Peel off every complete line; a partial tail stays buffered.
+    // Peel off every complete line; a partial tail stays buffered. Only
+    // the newly read bytes are searched, so a long line costs O(L).
     std::vector<std::string> ready;
     size_t start = 0;
-    for (size_t nl = buffer.find('\n', start); nl != std::string::npos;
+    bool overrun = false;
+    for (size_t nl = buffer.find('\n', scanned); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
+      if (nl - start > max_line) {
+        overrun = true;
+        break;
+      }
       ready.push_back(buffer.substr(start, nl - start));
       start = nl + 1;
     }
     buffer.erase(0, start);
+    scanned = buffer.size();
+    overrun = overrun || buffer.size() > max_line;
     std::string out;
     size_t i = 0;
     while (i < ready.size()) {
@@ -222,6 +236,15 @@ void QueryServer::HandleConnection(int fd) {
         out += '\n';
       }
       i = j;
+    }
+    if (overrun) {
+      PSO_LOG(WARN).Field("max_line", max_line)
+          << "request line too long; closing connection";
+      out += FormatAnswerLine(
+          0, Result<double>(Status::InvalidArgument(StrFormat(
+                 "request line longer than %zu bytes", max_line))));
+      out += '\n';
+      alive = false;
     }
     if (!out.empty() && !SendAll(fd, out)) alive = false;
   }

@@ -613,18 +613,16 @@ Result<SatSolution> SolveCdcl(const SatInstance& inst,
                               const SatSolveOptions& options) {
   CdclSearch search(inst, options);
 
-  trace::Span solve_span("sat.solve");
+  sat_internal::MetricsPublisher publish{&search.stats, "sat.cdcl.solves",
+                                         /*cdcl=*/true};
   std::unique_ptr<trace::RingBuffer<SatStep>> step_ring;
-  if (solve_span.active()) {
-    solve_span.Arg("vars", std::to_string(inst.num_vars));
-    solve_span.Arg("clauses", std::to_string(inst.clauses.size()));
+  if (publish.span.active()) {
+    publish.span.Arg("vars", std::to_string(inst.num_vars));
+    publish.span.Arg("clauses", std::to_string(inst.clauses.size()));
     step_ring =
         std::make_unique<trace::RingBuffer<SatStep>>(kSatStepTraceCapacity);
     search.step_ring = step_ring.get();
   }
-
-  sat_internal::MetricsPublisher publish{&search.stats, "sat.cdcl.solves",
-                                         /*cdcl=*/true};
   return search.Run();
 }
 

@@ -47,9 +47,10 @@ struct PivotSink {
 };
 
 // Publishes one solve's shared counters to the global registry on every
-// exit path (optimal, infeasible, unbounded, pivot budget). Counters
-// are seed-deterministic totals; the wall-clock span is reported
-// separately. `pivot_work` is the FLOPs-equivalent tally: the number of
+// exit path (optimal, infeasible, unbounded, pivot budget), and owns the
+// solve's `lp.solve` span, which the engine annotates through
+// `span.active()`/`span.Arg()`. Counters are seed-deterministic totals;
+// the span's duration lands in the `lp.solve` histogram. `pivot_work` is the FLOPs-equivalent tally: the number of
 // matrix/vector cells actually touched while pivoting — the revised
 // simplex counts traversed nonzeros, the dense oracle full rows x cols —
 // so the two are comparable on one axis.
@@ -57,7 +58,7 @@ struct SolveScope {
   size_t phase1_iterations = 0;
   size_t total_iterations = 0;
   size_t pivot_work = 0;
-  metrics::ScopedSpan span{"lp.solve"};
+  trace::Span span{"lp.solve"};
 
   ~SolveScope() {
     metrics::GetCounter("lp.solves").Add(1);

@@ -801,11 +801,10 @@ class SimplexState {
 Result<LpSolution> SolveRevisedSimplex(const LpInstance& model,
                                        const LpSolveOptions& options) {
   lp_internal::SolveScope scope;
-  trace::Span solve_span("lp.solve");
   std::unique_ptr<trace::RingBuffer<LpPivotStep>> pivot_ring;
-  if (solve_span.active()) {
-    solve_span.Arg("vars", std::to_string(model.variables.size()));
-    solve_span.Arg("constraints", std::to_string(model.rows.size()));
+  if (scope.span.active()) {
+    scope.span.Arg("vars", std::to_string(model.variables.size()));
+    scope.span.Arg("constraints", std::to_string(model.rows.size()));
     pivot_ring = std::make_unique<trace::RingBuffer<LpPivotStep>>(
         kPivotTraceCapacity);
   }
@@ -814,7 +813,7 @@ Result<LpSolution> SolveRevisedSimplex(const LpInstance& model,
   Result<LpSolution> result = state.Run(options, pivot_ring.get());
   if (result.ok() && pivot_ring != nullptr) {
     result->pivot_trace = pivot_ring->Drain();
-    solve_span.Arg("pivots", std::to_string(result->iterations));
+    scope.span.Arg("pivots", std::to_string(result->iterations));
   }
   return result;
 }

@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "solver/sat.h"
 
 namespace pso::sat_internal {
@@ -44,7 +45,9 @@ struct SearchStats {
 };
 
 /// Publishes one solve's counters on destruction (every exit path,
-/// including kResourceExhausted). `solves_counter` is the
+/// including kResourceExhausted) and owns the solve's `sat.solve` span,
+/// which the solver annotates through `span.active()`/`span.Arg()`.
+/// `solves_counter` is the
 /// per-solver name, e.g. "sat.cdcl.solves"; the CDCL-only counters are
 /// published only when `cdcl` is set, so DPLL solves do not materialize
 /// them in the registry.
@@ -52,7 +55,7 @@ struct MetricsPublisher {
   const SearchStats* stats;
   const char* solves_counter;
   bool cdcl = false;
-  metrics::ScopedSpan span{"sat.solve"};
+  trace::Span span{"sat.solve"};
 
   ~MetricsPublisher() {
     metrics::GetCounter("sat.solves").Add(1);

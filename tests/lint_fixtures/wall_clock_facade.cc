@@ -1,11 +1,10 @@
-// pso-lint-fixture-path: src/common/metrics.cc
+// pso-lint-fixture-path: src/common/trace.cc
 //
 // Negative fixture for the monotonic half of the `wall-clock` rule: the
-// timing facade (src/common/{metrics,trace,progress,parallel}) may read
-// steady_clock / high_resolution_clock directly — that is where latency
-// recording is implemented. Calendar time stays forbidden even here.
-// The match is exact on the stem: src/common/metrics_helper.cc would
-// NOT be exempt.
+// timing facade (src/common/trace) may read steady_clock /
+// high_resolution_clock directly — that is where trace::Span is
+// implemented. Calendar time stays forbidden even here. The match is
+// exact on the stem: src/common/trace_helper.cc would NOT be exempt.
 #include <chrono>
 #include <ctime>
 

@@ -1,8 +1,9 @@
-// Tests for the metrics registry: counter/timer/span semantics,
-// concurrent increments under ParallelFor (the TSan `parallel` lane runs
-// this suite), merge determinism at 1 vs N threads, the log-bucketed
-// histogram (fixed boundaries, exact shard merges, quantile brackets),
-// and the JSON / Prometheus renderings.
+// Tests for the metrics registry: counter/gauge semantics, spans
+// recording into a private registry's histogram, concurrent increments
+// under ParallelFor (the TSan `parallel` lane runs this suite), merge
+// determinism at 1 vs N threads, the log-bucketed histogram (fixed
+// boundaries, exact shard merges, quantile brackets), and the JSON /
+// Prometheus renderings.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/trace.h"
 #include "proptest.h"
 
 namespace pso {
@@ -31,26 +33,6 @@ TEST(MetricsTest, CounterAddAndReset) {
   EXPECT_EQ(c.value(), 42u);
   c.Reset();
   EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(MetricsTest, TimerAccumulatesIntervals) {
-  metrics::Timer t;
-  t.Record(0.25);
-  t.Record(0.5);
-  EXPECT_EQ(t.count(), 2u);
-  EXPECT_NEAR(t.seconds(), 0.75, 1e-6);
-  t.Reset();
-  EXPECT_EQ(t.count(), 0u);
-  EXPECT_EQ(t.seconds(), 0.0);
-}
-
-TEST(MetricsTest, ScopedSpanRecordsOneInterval) {
-  metrics::Timer t;
-  {
-    metrics::ScopedSpan span(t);
-  }
-  EXPECT_EQ(t.count(), 1u);
-  EXPECT_GE(t.seconds(), 0.0);
 }
 
 TEST(MetricsTest, RegistryHandlesAreStableAndNamed) {
@@ -77,18 +59,19 @@ TEST(MetricsTest, ResetAllZeroesButKeepsHandles) {
   metrics::Registry reg;
   metrics::Counter& c = reg.GetCounter("c");
   c.Add(5);
-  reg.GetTimer("t").Record(1.0);
+  reg.GetHistogram("h").Record(1.0);
   reg.SetGauge("g", 9.0);
   reg.ResetAll();
   metrics::Snapshot snap = reg.TakeSnapshot();
   EXPECT_EQ(snap.counters.at("c"), 0u);
-  EXPECT_EQ(snap.timers.at("t").count, 0u);
+  EXPECT_EQ(snap.histograms.at("h").count, 0u);
+  EXPECT_EQ(snap.histograms.at("h").sum_fp, 0u);
   EXPECT_TRUE(snap.gauges.empty());
   c.Add(1);  // handle still valid
   EXPECT_EQ(reg.TakeSnapshot().counters.at("c"), 1u);
 }
 
-TEST(MetricsTest, MergeFromAddsCountersAndTimersOverwritesGauges) {
+TEST(MetricsTest, MergeFromAddsCountersAndHistogramsOverwritesGauges) {
   metrics::Registry dst;
   dst.GetCounter("shared").Add(10);
   dst.SetGauge("g", 1.0);
@@ -96,16 +79,16 @@ TEST(MetricsTest, MergeFromAddsCountersAndTimersOverwritesGauges) {
   metrics::Registry src;
   src.GetCounter("shared").Add(5);
   src.GetCounter("fresh").Add(2);
-  src.GetTimer("t").Record(0.5);
-  src.GetTimer("t").Record(0.25);
+  src.GetHistogram("h").Record(0.5);
+  src.GetHistogram("h").Record(0.25);
   src.SetGauge("g", 3.0);
 
   dst.MergeFrom(src.TakeSnapshot());
   metrics::Snapshot snap = dst.TakeSnapshot();
   EXPECT_EQ(snap.counters.at("shared"), 15u);
   EXPECT_EQ(snap.counters.at("fresh"), 2u);
-  EXPECT_EQ(snap.timers.at("t").count, 2u);
-  EXPECT_NEAR(snap.timers.at("t").seconds, 0.75, 1e-6);
+  EXPECT_EQ(snap.histograms.at("h").count, 2u);
+  EXPECT_NEAR(snap.histograms.at("h").sum(), 0.75, 1e-6);
   EXPECT_EQ(snap.gauges.at("g"), 3.0);
 }
 
@@ -115,11 +98,11 @@ TEST(MetricsTest, MergeFromAddsCountersAndTimersOverwritesGauges) {
 TEST(MetricsTest, ConcurrentIncrementsUnderParallelForAreExact) {
   metrics::Registry reg;
   metrics::Counter& items = reg.GetCounter("items");
-  metrics::Timer& spans = reg.GetTimer("spans");
+  metrics::Histogram& spans = reg.GetHistogram("spans");
   const size_t n = 100000;
   ThreadPool pool(4);
   ParallelFor(&pool, n, [&](size_t begin, size_t end) {
-    metrics::ScopedSpan span(spans);
+    trace::Span span("spans", spans);
     // Mix per-item increments with one bulk Add per chunk.
     for (size_t i = begin; i < end; ++i) reg.GetCounter("per_item").Add(1);
     items.Add(end - begin);
@@ -127,7 +110,7 @@ TEST(MetricsTest, ConcurrentIncrementsUnderParallelForAreExact) {
   metrics::Snapshot snap = reg.TakeSnapshot();
   EXPECT_EQ(snap.counters.at("items"), n);
   EXPECT_EQ(snap.counters.at("per_item"), n);
-  EXPECT_EQ(snap.timers.at("spans").count, NumChunks(n));
+  EXPECT_EQ(snap.histograms.at("spans").count, NumChunks(n));
 }
 
 // Merge determinism: worker-local registries merged in chunk order must
@@ -147,7 +130,7 @@ TEST(MetricsTest, MergeDeterminismOneVsManyThreads) {
           for (size_t i = begin; i < end; ++i) {
             local.GetCounter("events").Add(i % 7 == 0 ? 3 : 1);
           }
-          local.GetTimer("chunk").Record(0.001);
+          local.GetHistogram("chunk").Record(0.001);
         },
         chunk);
     metrics::Registry merged;
@@ -160,7 +143,8 @@ TEST(MetricsTest, MergeDeterminismOneVsManyThreads) {
   metrics::Snapshot at1 = run_at(1);
   metrics::Snapshot at4 = run_at(4);
   EXPECT_EQ(at1.counters.at("events"), at4.counters.at("events"));
-  EXPECT_EQ(at1.timers.at("chunk").count, at4.timers.at("chunk").count);
+  EXPECT_EQ(at1.histograms.at("chunk").count,
+            at4.histograms.at("chunk").count);
   EXPECT_EQ(metrics::SnapshotToJson(at1).find("\"events\""),
             metrics::SnapshotToJson(at4).find("\"events\""));
 }
@@ -173,24 +157,26 @@ TEST(MetricsTest, JsonEscaping) {
 TEST(MetricsTest, SnapshotToJsonShape) {
   metrics::Registry reg;
   reg.GetCounter("lp.pivots").Add(12);
-  reg.GetTimer("lp.solve").Record(0.5);
+  reg.GetHistogram("lp.solve").Record(0.5);
   reg.SetGauge("pool.imbalance", 2.0);
   std::string json = metrics::SnapshotToJson(reg.TakeSnapshot());
   EXPECT_NE(json.find("\"counters\": {\"lp.pivots\": 12}"),
             std::string::npos);
   EXPECT_NE(json.find("\"lp.solve\""), std::string::npos);
   EXPECT_NE(json.find("\"pool.imbalance\""), std::string::npos);
+  EXPECT_EQ(json.find("\"timers\""), std::string::npos);
 }
 
 TEST(MetricsTest, SnapshotToTextListsEverySection) {
   metrics::Registry reg;
   reg.GetCounter("c").Add(1);
-  reg.GetTimer("t").Record(0.1);
+  reg.GetHistogram("h").Record(0.1);
   reg.SetGauge("g", 4.0);
   std::string text = metrics::SnapshotToText(reg.TakeSnapshot());
   EXPECT_NE(text.find("counters:"), std::string::npos);
-  EXPECT_NE(text.find("timers:"), std::string::npos);
   EXPECT_NE(text.find("gauges:"), std::string::npos);
+  EXPECT_NE(text.find("histograms:"), std::string::npos);
+  EXPECT_EQ(text.find("timers"), std::string::npos);
 }
 
 TEST(HistogramTest, RecordAndAccessors) {
@@ -422,7 +408,6 @@ TEST(MetricsTest, ExpositionToPromParses) {
   metrics::Registry reg;
   reg.GetCounter("sat.conflicts").Add(42);
   reg.SetGauge("pool.workers", 4.0);
-  reg.GetTimer("lp.solve").Record(0.5);
   metrics::Histogram& h = reg.GetHistogram("lp.solve");
   h.Record(0.001);
   h.Record(0.002);
@@ -432,7 +417,7 @@ TEST(MetricsTest, ExpositionToPromParses) {
 
   const std::regex help_re(R"(^# HELP [a-zA-Z_:][a-zA-Z0-9_:]* .+$)");
   const std::regex type_re(
-      R"(^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge|summary|histogram)$)");
+      R"(^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge|histogram)$)");
   const std::regex sample_re(
       R"(^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_]+="[^"]*"(,[a-zA-Z_]+="[^"]*")*\})? (NaN|[+-]?Inf|[0-9.eE+-]+)$)");
 
@@ -448,8 +433,8 @@ TEST(MetricsTest, ExpositionToPromParses) {
       EXPECT_TRUE(std::regex_match(line, help_re)) << line;
     } else if (line.rfind("# TYPE", 0) == 0) {
       EXPECT_TRUE(std::regex_match(line, type_re)) << line;
-      // A metric may be declared once; a timer + same-named histogram
-      // must not both publish (scrapers reject conflicting TYPEs).
+      // A metric may be declared once (scrapers reject conflicting
+      // TYPEs).
       const std::string declared =
           line.substr(7, line.find(' ', 7) - 7);
       EXPECT_TRUE(typed_names.insert(declared).second)
@@ -470,6 +455,7 @@ TEST(MetricsTest, ExpositionToPromParses) {
   EXPECT_NE(prom.find("pool_workers 4"), std::string::npos) << prom;
   EXPECT_NE(prom.find("lp_solve_seconds_count 3"), std::string::npos) << prom;
   EXPECT_EQ(inf_bucket, 3u) << "le=\"+Inf\" must equal _count";
+  EXPECT_EQ(prom.find(" summary"), std::string::npos) << prom;
 }
 
 TEST(MetricsTest, PoolGaugesPublishWorkerDistribution) {

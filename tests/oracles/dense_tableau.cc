@@ -156,13 +156,12 @@ Result<LpSolution> SolveDenseTableau(const LpInstance& model,
                                      const LpSolveOptions& options) {
   // No factorization to reuse: the basis options are ignored.
   lp_internal::SolveScope scope;
-  trace::Span solve_span("lp.solve");
   // Introspection ring: one per solve, shared by both phases, collected
   // only while tracing is on (the default path allocates nothing).
   std::unique_ptr<trace::RingBuffer<LpPivotStep>> pivot_ring;
-  if (solve_span.active()) {
-    solve_span.Arg("vars", std::to_string(model.variables.size()));
-    solve_span.Arg("constraints", std::to_string(model.rows.size()));
+  if (scope.span.active()) {
+    scope.span.Arg("vars", std::to_string(model.variables.size()));
+    scope.span.Arg("constraints", std::to_string(model.rows.size()));
     pivot_ring =
         std::make_unique<trace::RingBuffer<LpPivotStep>>(kPivotTraceCapacity);
   }
@@ -393,7 +392,7 @@ Result<LpSolution> SolveDenseTableau(const LpInstance& model,
   sol.iterations = iterations;
   if (pivot_ring != nullptr) {
     sol.pivot_trace = pivot_ring->Drain();
-    solve_span.Arg("pivots", std::to_string(iterations));
+    scope.span.Arg("pivots", std::to_string(iterations));
   }
   return sol;
 }

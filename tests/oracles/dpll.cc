@@ -121,20 +121,19 @@ Result<SatSolution> SolveDpll(const SatInstance& inst,
                               const SatSolveOptions& options) {
   DpllSearch search(inst);
 
+  // Publish this solve's search statistics on every exit path.
+  sat_internal::MetricsPublisher publish{&search.stats, "sat.dpll.solves"};
+
   // Introspection ring: created only while tracing is on.
-  trace::Span solve_span("sat.solve");
   std::unique_ptr<trace::RingBuffer<SatStep>> step_ring;
-  if (solve_span.active()) {
-    solve_span.Arg("vars", std::to_string(inst.num_vars));
-    solve_span.Arg("clauses", std::to_string(inst.clauses.size()));
+  if (publish.span.active()) {
+    publish.span.Arg("vars", std::to_string(inst.num_vars));
+    publish.span.Arg("clauses", std::to_string(inst.clauses.size()));
     step_ring =
         std::make_unique<trace::RingBuffer<SatStep>>(kSatStepTraceCapacity);
     search.step_ring = step_ring.get();
   }
   size_t instants_emitted = 0;
-
-  // Publish this solve's search statistics on every exit path.
-  sat_internal::MetricsPublisher publish{&search.stats, "sat.dpll.solves"};
 
   // Attaches the retained steps to a finished solution.
   auto attach = [&](SatSolution& s) {

@@ -1,7 +1,16 @@
 // Tests for the query service stack: budget ledger semantics (including
 // the two-racers-one-epsilon ordering), transcript replay determinism at
-// any thread count, the wire protocol, and a loopback socket smoke test.
+// any thread count, the wire protocol, a loopback socket smoke test, and
+// the server's cap on request-line length.
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+#endif
+
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -405,6 +414,90 @@ TEST(QueryServerTest, SocketTranscriptMatchesInProcess) {
   }
   EXPECT_GT(via_socket->rejected(), 0u);
 }
+
+#if defined(__unix__) || defined(__APPLE__)
+
+// Sends `data` on a raw loopback connection to `port` until the peer
+// hangs up, then returns everything the peer wrote before EOF.
+std::string FloodAndCollect(int port, const std::string& data) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return "socket failed";
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) < 0) {
+    ::close(fd);
+    return "connect failed";
+  }
+  // Bounded waits: a server that never answers fails the test rather
+  // than hanging it.
+  timeval tv{};
+  tv.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t sent =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (sent <= 0) break;  // the server closed mid-flood
+    off += static_cast<size_t>(sent);
+  }
+  std::string reply;
+  char buf[256];
+  for (;;) {
+    const ssize_t got = ::recv(fd, buf, sizeof(buf), 0);
+    if (got <= 0) break;
+    reply.append(buf, static_cast<size_t>(got));
+  }
+  ::close(fd);
+  return reply;
+}
+
+// A client streaming 1 MiB with no newline must not grow the server's
+// buffer without bound: it gets one InvalidArgument line and EOF, and
+// the server goes on serving the next client.
+TEST(QueryServerTest, OverlongRequestLineGetsErrorAndClose) {
+  Rng rng(5);
+  QueryService svc(recon::RandomBits(16, rng), QueryServiceOptions{});
+  ThreadPool handlers(2);
+  service::QueryServerOptions sopts;
+  sopts.pool = &handlers;
+  service::QueryServer server(&svc, sopts);
+  Status started = server.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << started.ToString();
+  }
+  ThreadPool accept_thread(1);
+  TaskGroup accept_group(&accept_thread);
+  accept_group.Submit([&server] { server.Run(); });
+
+  const std::string reply =
+      FloodAndCollect(server.port(), std::string(1 << 20, '1'));
+  EXPECT_EQ(reply.rfind("E 0 InvalidArgument ", 0), 0u) << reply;
+  EXPECT_EQ(std::count(reply.begin(), reply.end(), '\n'), 1) << reply;
+  EXPECT_EQ(reply.back(), '\n');
+
+  {
+    Result<std::unique_ptr<service::SocketTransport>> next =
+        service::SocketTransport::Connect(server.port());
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    Result<std::vector<QueryOutcome>> answered = (*next)->IssueBatch(
+        7, {recon::SubsetQuery(16, 1)});
+    ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+    ASSERT_EQ(answered->size(), 1u);
+    ASSERT_TRUE((*answered)[0].ok());
+    double ones = 0.0;
+    for (uint8_t bit : svc.secret()) ones += bit;
+    EXPECT_EQ(*(*answered)[0], ones);
+  }
+
+  server.RequestShutdown();
+  accept_group.Wait();
+}
+
+#endif  // defined(__unix__) || defined(__APPLE__)
 
 }  // namespace
 }  // namespace pso

@@ -1,18 +1,22 @@
 // Tests for the hierarchical trace collector (common/trace.h): span
 // nesting, parent propagation into ParallelFor workers, Chrome-JSON
 // well-formedness, the determinism of the text-tree export across thread
-// counts, ring-buffer semantics, and the LP/SAT introspection traces.
+// counts, spans recording their histograms with tracing on or off,
+// ring-buffer semantics, and the LP/SAT introspection traces.
 
 #include "common/trace.h"
 
 #include <cctype>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/parallel.h"
 #include "oracles/oracles.h"
 #include "solver/lp.h"
@@ -298,6 +302,72 @@ TEST(TraceTest, TextTreeIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(tree_serial, tree_parallel);
   EXPECT_NE(tree_serial.find("workload"), std::string::npos);
   EXPECT_NE(tree_serial.find("chunk"), std::string::npos);
+}
+
+// Event counts of the global histograms the deterministic workload's
+// spans record into.
+std::map<std::string, uint64_t> WorkloadSpanCounts() {
+  std::map<std::string, uint64_t> counts;
+  for (const char* name : {"workload", "chunk", "parallel.for"}) {
+    counts[name] = metrics::GetHistogram(name).count();
+  }
+  return counts;
+}
+
+TEST(TraceTest, SpanHistogramCountsMatchAcrossThreadCounts) {
+  Collector::Global().Disable();
+  auto delta = [](ThreadPool* pool) {
+    std::map<std::string, uint64_t> before = WorkloadSpanCounts();
+    RunDeterministicWorkload(pool);
+    std::map<std::string, uint64_t> after = WorkloadSpanCounts();
+    for (auto& [name, count] : after) count -= before[name];
+    return after;
+  };
+  const std::map<std::string, uint64_t> serial = delta(nullptr);
+  ThreadPool pool(8);
+  EXPECT_EQ(serial, delta(&pool));
+  EXPECT_EQ(serial.at("workload"), 1u);
+  EXPECT_EQ(serial.at("parallel.for"), 1u);
+  EXPECT_EQ(serial.at("chunk"), NumChunks(96));
+}
+
+TEST(TraceTest, SpanRecordsHistogramWithTracingOff) {
+  Collector::Global().Disable();
+  Collector::Global().Clear();
+  metrics::Registry reg;
+  metrics::Histogram& hist = reg.GetHistogram("untraced");
+  {
+    trace::Span span("untraced", hist);
+    EXPECT_FALSE(span.active());
+  }
+  EXPECT_EQ(hist.count(), 1u);
+  // The by-name form records into the global histogram of that name.
+  metrics::Histogram& global = metrics::GetHistogram("trace_test.untraced");
+  const uint64_t before = global.count();
+  { trace::Span span("trace_test.untraced"); }
+  EXPECT_EQ(global.count(), before + 1);
+  EXPECT_TRUE(Collector::Global().TakeEvents().empty());
+}
+
+TEST(TraceTest, SpanEventAndHistogramShareOneClockPair) {
+  ScopedTracing tracing;
+  metrics::Registry reg;
+  metrics::Histogram& hist = reg.GetHistogram("timed");
+  {
+    trace::Span span("timed", hist);
+    ASSERT_TRUE(span.active());
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  const std::vector<Event> events = Collector::Global().TakeEvents();
+  const Event* timed = FindSpan(events, "timed");
+  ASSERT_NE(timed, nullptr);
+  ASSERT_EQ(hist.count(), 1u);
+  // The histogram stores seconds as fixed-point nanoseconds; converting
+  // the same dur_ns there and back may truncate by at most 1 ns.
+  const uint64_t sum_ns = hist.sum_fp();
+  EXPECT_LE(sum_ns, timed->dur_ns);
+  EXPECT_LE(timed->dur_ns - sum_ns, 1u);
+  EXPECT_GT(timed->dur_ns, 0u);
 }
 
 TEST(TraceTest, RingBufferKeepsMostRecent) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regression gate over the deterministic bench counters.
 
-Every bench harness writes a BENCH_<name>.json report (schema_version 3,
+Every bench harness writes a BENCH_<name>.json report (schema_version 4,
 see EXPERIMENTS.md). The "metrics"/"counters" object is the deterministic
 section: same seed => identical values on every run and every machine, so
 it can be diffed exactly. This tool compares fresh reports against the
@@ -10,16 +10,17 @@ an unexplained change in solver pivots, SAT decisions, or samples drawn
 is a behavior change, not noise.
 
 Counters under run-shaped prefixes (parallel.*, pool.*, watchdog.* by
-default) and everything run-dependent (wall clock, timers, gauges, RSS,
-git_sha) are reported but never gate. Wall-clock deltas are printed for
+default) and everything run-dependent (wall clock, gauges, RSS, git_sha)
+are reported but never gate. Wall-clock deltas are printed for
 information only.
 
-Histograms (schema_version 3) gate only on their event counts: the
-number of lp.solve / sat.solve / bench.main_loop events is deterministic
-given the seed, while the latency values inside the buckets — and hence
-the quantiles (p50..p999), sum, mean, min, max, the bucket distribution,
-and the derived "throughput" section — are wall-clock artifacts and are
-never compared.
+Histograms gate only on their event counts. Every trace::Span records
+one event into its same-named histogram, and the number of lp.solve /
+sat.solve / bench.main_loop events is deterministic given the seed. The
+latency values inside the buckets — and hence the quantiles
+(p50..p999), sum, mean, min, max, the bucket distribution, and the
+derived "throughput" section — are wall-clock artifacts and are never
+compared.
 
 Usage:
   # gate (CI): compare build/bench/BENCH_*.json against bench/baselines/
@@ -45,7 +46,7 @@ import sys
 import tempfile
 
 DEFAULT_SKIP_PREFIXES = ["parallel.", "pool.", "watchdog."]
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 EXIT_CODES_HELP = """\
 exit codes:
@@ -127,7 +128,7 @@ def diff_counters(baseline, current, notes, allow_new=False):
 
 
 def _synthetic_report(counters, histogram_counts_by_name):
-    """A minimal schema-3 report with the given deterministic section."""
+    """A minimal schema-4 report with the given deterministic section."""
     return {
         "schema_version": SCHEMA_VERSION,
         "bench": "bench_selftest",

@@ -14,10 +14,9 @@ rules:
                         gettimeofday, ...) in library code: calendar time
                         leaks run-dependent values into output. Monotonic
                         clocks (steady_clock, high_resolution_clock) are
-                        confined to the timing facade —
-                        src/common/{metrics,trace,progress,parallel} —
+                        confined to the timing facade, src/common/trace,
                         so all latency measurement flows through
-                        metrics::Timer / histograms / trace spans;
+                        trace::Span and the histogram it records;
                         elsewhere they need an explicit
                         `// pso-lint: allow(wall-clock)`.
   unordered-iteration   Range-for over a std::unordered_{map,set}
@@ -238,14 +237,9 @@ MONOTONIC_CLOCK_RE = re.compile(
     r"\bsteady_clock\b|\bhigh_resolution_clock\b"
 )
 # The timing facade: the only files that may read monotonic clocks
-# directly. Everything else routes timing through metrics::Timer /
-# metrics::Histogram / trace spans so latency has one recording path.
-MONOTONIC_CLOCK_FACADE = (
-    "src/common/metrics",
-    "src/common/trace",
-    "src/common/progress",
-    "src/common/parallel",
-)
+# directly. Everything else times a code path with trace::Span, which
+# records into a metrics::Histogram, so latency has one recording path.
+MONOTONIC_CLOCK_FACADE = ("src/common/trace",)
 
 
 def _in_monotonic_facade(rel):
@@ -276,10 +270,8 @@ def check_wall_clock(lines, _text, rel):
         m = MONOTONIC_CLOCK_RE.search(line)
         if m:
             out.append((no, f"monotonic clock `{m.group(0)}` outside the "
-                            "timing facade (src/common/{metrics,trace,"
-                            "progress,parallel}); route timing through "
-                            "metrics::Timer / metrics::Histogram / trace "
-                            "spans"))
+                            "timing facade (src/common/trace); time the "
+                            "code path with trace::Span"))
     return out
 
 
