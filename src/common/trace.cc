@@ -182,19 +182,6 @@ void Instant(const char* name,
   c.Record(std::move(e));
 }
 
-void CounterSample(const char* name, double value) {
-  if (!Enabled()) return;
-  Collector& c = Collector::Global();
-  Event e;
-  e.kind = Event::Kind::kCounter;
-  e.name = name;
-  e.parent = ParentForNewEvent();
-  e.track = CurrentTrack();
-  e.start_ns = c.SinceEpoch(SteadyNowNs());
-  e.value = value;
-  c.Record(std::move(e));
-}
-
 namespace {
 
 std::string FormatMicros(uint64_t ns) {
@@ -211,9 +198,6 @@ void AppendArgsJson(std::string& out, const Event& e) {
     out += StrFormat("\"id\":\"%llx\",\"parent\":\"%llx\"",
                      static_cast<unsigned long long>(e.id),
                      static_cast<unsigned long long>(e.parent));
-    first = false;
-  } else if (e.kind == Event::Kind::kCounter) {
-    out += StrFormat("\"value\":%.9g", e.value);
     first = false;
   }
   for (const auto& [key, value] : e.args) {
@@ -248,10 +232,6 @@ std::string Collector::ChromeJson() const {
         out += StrFormat("\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,",
                          FormatMicros(e.start_ns).c_str());
         break;
-      case Event::Kind::kCounter:
-        out += StrFormat("\"ph\":\"C\",\"ts\":%s,",
-                         FormatMicros(e.start_ns).c_str());
-        break;
     }
     out += StrFormat("\"pid\":1,\"tid\":%u,", e.track);
     AppendArgsJson(out, e);
@@ -270,7 +250,6 @@ namespace {
 struct TreeNode {
   uint64_t span_count = 0;
   uint64_t instant_count = 0;
-  uint64_t counter_count = 0;
   std::map<std::string, TreeNode> children;  // ordered => stable output
 };
 
@@ -287,12 +266,6 @@ void RenderTree(const TreeNode& node, const std::string& indent,
                           name.c_str(),
                           static_cast<unsigned long long>(
                               child.instant_count));
-    }
-    if (child.counter_count > 0) {
-      counts += StrFormat("%s# %s x%llu", counts.empty() ? "" : "  ",
-                          name.c_str(),
-                          static_cast<unsigned long long>(
-                              child.counter_count));
     }
     out += indent + counts + "\n";
     RenderTree(child, indent + "  ", out);
@@ -336,9 +309,6 @@ std::string Collector::TextTree() const {
         break;
       case Event::Kind::kInstant:
         ++node->instant_count;
-        break;
-      case Event::Kind::kCounter:
-        ++node->counter_count;
         break;
     }
   }

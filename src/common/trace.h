@@ -9,8 +9,7 @@
 // the calling thread's current span to its workers (trace::ContextScope),
 // so chunk work running on a pool thread still nests under the pipeline
 // span that launched it — the logical tree is the same at any thread
-// count. Instant events and counter samples attach to the current span
-// the same way.
+// count. Instant events attach to the current span the same way.
 //
 // Two exports:
 //  - Chrome trace-event JSON (ChromeJson / WriteChromeJson): loadable in
@@ -50,9 +49,9 @@ class Histogram;
 namespace pso::trace {
 
 /// One recorded trace event. Span events are recorded at close (complete
-/// spans); instants and counter samples are points.
+/// spans); instants are points.
 struct Event {
-  enum class Kind : uint8_t { kSpan, kInstant, kCounter };
+  enum class Kind : uint8_t { kSpan, kInstant };
 
   Kind kind = Kind::kInstant;
   std::string name;
@@ -61,50 +60,8 @@ struct Event {
   uint32_t track = 0;     ///< Per-thread track id (Chrome "tid").
   uint64_t start_ns = 0;  ///< Monotonic ns since Enable().
   uint64_t dur_ns = 0;    ///< kSpan only.
-  double value = 0.0;     ///< kCounter only.
   /// Key/value annotations ("n" -> "64"). Rendered as Chrome args.
   std::vector<std::pair<std::string, std::string>> args;
-};
-
-/// Bounded FIFO keeping the most recent `capacity` entries — the solver
-/// introspection buffers (LP pivots, SAT steps). Single-threaded; each
-/// solve owns its own ring.
-template <typename T>
-class RingBuffer {
- public:
-  explicit RingBuffer(size_t capacity) : capacity_(capacity) {
-    items_.reserve(capacity);
-  }
-
-  void Push(T item) {
-    if (items_.size() < capacity_) {
-      items_.push_back(std::move(item));
-    } else {
-      items_[head_] = std::move(item);
-      head_ = (head_ + 1) % capacity_;
-    }
-    ++total_;
-  }
-
-  /// Number of pushes ever seen (>= size() when the ring wrapped).
-  uint64_t total() const { return total_; }
-  size_t size() const { return items_.size(); }
-
-  /// The retained entries, oldest first.
-  std::vector<T> Drain() const {
-    std::vector<T> out;
-    out.reserve(items_.size());
-    for (size_t i = 0; i < items_.size(); ++i) {
-      out.push_back(items_[(head_ + i) % items_.size()]);
-    }
-    return out;
-  }
-
- private:
-  size_t capacity_;
-  size_t head_ = 0;
-  uint64_t total_ = 0;
-  std::vector<T> items_;
 };
 
 /// The process-wide event sink. Thread-safe; all spans/instants record
@@ -153,7 +110,7 @@ class Collector {
   /// handler; best-effort.
   void FlushToConfiguredPath() const PSO_EXCLUDES(mu_);
 
-  // Internals used by Span/Instant/CounterSample.
+  // Internals used by Span/Instant.
   void Record(Event event) PSO_EXCLUDES(mu_);
   uint64_t NextSpanId();
   /// Converts a steady_clock reading (ns) to ns since Enable()/Clear().
@@ -235,10 +192,6 @@ class Span {
 /// Records an instant event under the current span.
 void Instant(const char* name,
              std::vector<std::pair<std::string, std::string>> args = {});
-
-/// Records a counter sample (rendered as a Chrome "C" event) under the
-/// current span.
-void CounterSample(const char* name, double value);
 
 }  // namespace pso::trace
 

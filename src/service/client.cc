@@ -61,13 +61,21 @@ Status SocketTransport::WriteAll(const std::string& data) {
 }
 
 Result<std::string> SocketTransport::ReadLine() {
+  size_t scanned = 0;  // buffer_[0, scanned) is known to hold no '\n'
   for (;;) {
-    const size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
+    const size_t nl = buffer_.find('\n', scanned);
+    if (nl != std::string::npos && nl <= kMaxResponseLine) {
       std::string line = buffer_.substr(0, nl);
       buffer_.erase(0, nl + 1);
       return line;
     }
+    // A server cannot make the client buffer more than one read past the
+    // cap.
+    if (buffer_.size() > kMaxResponseLine) {
+      return Status::InvalidArgument(StrFormat(
+          "server response line longer than %zu bytes", kMaxResponseLine));
+    }
+    scanned = buffer_.size();
     char chunk[4096];
     const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
     if (got < 0) {

@@ -1,6 +1,7 @@
 #include "service/wire.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <system_error>
@@ -11,9 +12,10 @@ namespace pso::service {
 
 namespace {
 
-// Parses a non-negative decimal integer, rejecting trailing garbage.
+// Parses a non-negative decimal integer, rejecting a sign, leading
+// whitespace and trailing garbage (strtoull would accept all three).
 bool ParseUint64(const std::string& s, uint64_t* out) {
-  if (s.empty() || s[0] == '-') return false;
+  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
   errno = 0;
   char* end = nullptr;
   unsigned long long v = std::strtoull(s.c_str(), &end, 10);
@@ -89,10 +91,11 @@ std::string FormatAnswerLine(uint64_t client, const Result<double>& outcome) {
     return StrFormat("A %llu %.17g",
                      static_cast<unsigned long long>(client), *outcome);
   }
-  return StrFormat("E %llu %s %s",
-                   static_cast<unsigned long long>(client),
-                   StatusCodeName(outcome.status().code()),
-                   outcome.status().message().c_str());
+  // Appended, not formatted through %s, so a message carrying a NUL
+  // byte survives intact.
+  return StrFormat("E %llu %s ", static_cast<unsigned long long>(client),
+                   StatusCodeName(outcome.status().code())) +
+         outcome.status().message();
 }
 
 Result<Result<double>> ParseAnswerLine(const std::string& line) {
@@ -103,6 +106,9 @@ Result<Result<double>> ParseAnswerLine(const std::string& line) {
     if (parts.size() != 3 || !ParseUint64(parts[1], &client) ||
         !ParseDouble(parts[2], &value)) {
       return Status::InvalidArgument("malformed answer line");
+    }
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument("answer value is not finite");
     }
     return Result<double>(value);
   }
@@ -142,6 +148,20 @@ Result<ServiceInfo> ParseInfoLine(const std::string& line) {
       !ParseDouble(value, &info.client_budget_eps) ||
       !FieldValue(parts[4], "batch", &value) || !ParseUint64(value, &batch)) {
     return Status::InvalidArgument("malformed info fields");
+  }
+  // The client sizes every query by n, so an absurd n from the socket
+  // must not reach an allocation.
+  if (n == 0 || n > kMaxWireN) {
+    return Status::InvalidArgument(
+        StrFormat("info n=%llu outside [1, %zu]",
+                  static_cast<unsigned long long>(n), kMaxWireN));
+  }
+  if (batch == 0) return Status::InvalidArgument("info batch must be >= 1");
+  if (!std::isfinite(info.eps_per_query) || info.eps_per_query < 0.0 ||
+      !std::isfinite(info.client_budget_eps) ||
+      info.client_budget_eps < 0.0) {
+    return Status::InvalidArgument(
+        "info eps and budget must be finite and >= 0");
   }
   info.n = static_cast<size_t>(n);
   info.max_batch = static_cast<size_t>(batch);

@@ -32,6 +32,16 @@
 
 namespace pso::service {
 
+/// Largest dataset size n the protocol carries. A `Q` line holds n query
+/// bits, so n bounds the request-line length; ParseInfoLine rejects an
+/// `I` line above it and `psoctl serve` refuses to serve a larger n.
+inline constexpr size_t kMaxWireN = size_t{1} << 20;
+
+/// Longest `A`/`E`/`I` response line a client accepts, newline excluded.
+/// Every line a server formats is far shorter; a client refuses a longer
+/// one instead of buffering it.
+inline constexpr size_t kMaxResponseLine = 4096;
+
 /// Parameters the INFO probe reports.
 struct ServiceInfo {
   size_t n = 0;
@@ -58,7 +68,8 @@ std::string FormatAnswerLine(uint64_t client, const Result<double>& outcome);
 
 /// Parses an `A`/`E` response line into the outcome it encodes (the `E`
 /// code is mapped back to a Status of the same code). kInvalidArgument —
-/// as the PARSE result — on a line that is neither.
+/// as the PARSE result — on a line that is neither, or on an `A` value
+/// that is not finite.
 [[nodiscard]] Result<Result<double>> ParseAnswerLine(const std::string& line);
 
 /// Formats the `I` response to an INFO probe (no trailing newline).
@@ -69,7 +80,8 @@ std::string FormatInfoLine(const ServiceInfo& info);
 /// is safe from concurrent transport threads.
 std::string ErrnoMessage(int err);
 
-/// Parses an `I` line.
+/// Parses an `I` line. kInvalidArgument unless 1 <= n <= kMaxWireN,
+/// batch >= 1, and eps and budget are finite and >= 0.
 [[nodiscard]] Result<ServiceInfo> ParseInfoLine(const std::string& line);
 
 }  // namespace pso::service

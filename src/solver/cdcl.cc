@@ -1,7 +1,6 @@
 #include "solver/cdcl.h"
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,7 +16,7 @@ namespace pso {
 namespace {
 
 using sat_internal::Assign;
-using sat_internal::kMaxSatInstants;
+using sat_internal::TakeInstant;
 
 constexpr size_t kNoReason = static_cast<size_t>(-1);
 
@@ -145,15 +144,19 @@ class CdclSearch {
         activity_(inst.num_vars, 0.0),
         watches_(2 * static_cast<size_t>(inst.num_vars)) {}
 
-  trace::RingBuffer<SatStep>* step_ring = nullptr;
   sat_internal::SearchStats stats;
-  size_t instants_emitted = 0;
+  // Set by SolveCdcl when tracing was on as the solve opened; the
+  // counters tally each instant name against kMaxSatInstants.
+  bool traced = false;
+  size_t decision_instants = 0;
+  size_t conflict_instants = 0;
+  size_t restart_instants = 0;
 
   Result<SatSolution> Run() {
     SatSolution out;
     if (inst_.trivially_unsat) {
       out.satisfiable = false;
-      Finish(out);
+      stats.CopyTo(out);
       return out;
     }
 
@@ -166,7 +169,7 @@ class CdclSearch {
       if (c.size() == 1) {
         if (!RootEnqueue(c[0])) {
           out.satisfiable = false;
-          Finish(out);
+          stats.CopyTo(out);
           return out;
         }
       } else {
@@ -176,7 +179,7 @@ class CdclSearch {
     }
     if (Propagate() != kNoReason) {
       out.satisfiable = false;
-      Finish(out);
+      stats.CopyTo(out);
       return out;
     }
 
@@ -202,7 +205,7 @@ class CdclSearch {
              {"restarts", static_cast<double>(stats.restarts)}});
         if (DecisionLevel() == 0) {
           out.satisfiable = false;  // conflict with no decisions: UNSAT
-          Finish(out);
+          stats.CopyTo(out);
           return out;
         }
         std::vector<Lit> learnt;
@@ -212,16 +215,12 @@ class CdclSearch {
         ++stats.backtracks;
         EmitConflictInstant(learnt.size(), backjump_level);
         BacktrackTo(backjump_level, &heap);
-        RecordStep(SatStep::Kind::kBacktrack, LitVar(learnt[0]),
-                   LitPositive(learnt[0]), trail_.size());
         if (learnt.size() == 1) {
           // Learned unit: asserted at the root, permanent. The UIP
           // variable was just unassigned by the backjump, so the enqueue
           // cannot itself conflict.
           PSO_CHECK(backjump_level == 0);
           ++stats.propagations;
-          RecordStep(SatStep::Kind::kPropagation, LitVar(learnt[0]),
-                     LitPositive(learnt[0]), trail_.size());
           const bool asserted = RootEnqueue(learnt[0]);
           PSO_CHECK_MSG(asserted, "learned unit conflicted at the root");
         } else {
@@ -231,8 +230,6 @@ class CdclSearch {
           // The learned clause is asserting: lits[0] is forced now.
           const Clause& c = clauses_.back();
           ++stats.propagations;
-          RecordStep(SatStep::Kind::kPropagation, LitVar(c.lits[0]),
-                     LitPositive(c.lits[0]), trail_.size());
           EnqueueLit(c.lits[0], clauses_.size() - 1);
         }
         DecayActivities();
@@ -270,7 +267,7 @@ class CdclSearch {
         for (uint32_t v = 0; v < inst_.num_vars; ++v) {
           out.assignment[v] = (values_[v] == Assign::kTrue);
         }
-        Finish(out);
+        stats.CopyTo(out);
         return out;
       }
 
@@ -294,8 +291,6 @@ class CdclSearch {
             StrFormat("SAT decision budget of %zu exceeded (cdcl)",
                       options_.max_decisions));
       }
-      RecordStep(SatStep::Kind::kDecision, decision_var,
-                 saved_phase_[decision_var], trail_.size());
       EmitDecisionInstant(decision_var);
       trail_limits_.push_back(trail_.size());
       EnqueueLit(MakeLit(decision_var, saved_phase_[decision_var]),
@@ -387,8 +382,6 @@ class CdclSearch {
         }
         // Unit: lits[0] is forced.
         ++stats.propagations;
-        RecordStep(SatStep::Kind::kPropagation, LitVar(c.lits[0]),
-                   LitPositive(c.lits[0]), trail_.size());
         EnqueueLit(c.lits[0], ci);
       }
       watch_list.resize(keep);
@@ -547,29 +540,15 @@ class CdclSearch {
            reasons_[LitVar(first)] == ci;
   }
 
-  void RecordStep(SatStep::Kind kind, uint32_t var, bool value,
-                  size_t trail_depth) {
-    if (step_ring != nullptr) {
-      step_ring->Push(SatStep{kind, var, value, trail_depth});
-    }
-  }
-
-  bool InstantBudget() {
-    if (step_ring == nullptr || !trace::Enabled()) return false;
-    if (instants_emitted >= kMaxSatInstants) return false;
-    ++instants_emitted;
-    return true;
-  }
-
   void EmitDecisionInstant(uint32_t var) {
-    if (!InstantBudget()) return;
+    if (!TakeInstant(traced, &decision_instants)) return;
     trace::Instant("sat.decision",
                    {{"var", std::to_string(var)},
                     {"depth", std::to_string(DecisionLevel())}});
   }
 
   void EmitConflictInstant(size_t learnt_size, size_t backjump_level) {
-    if (!InstantBudget()) return;
+    if (!TakeInstant(traced, &conflict_instants)) return;
     trace::Instant("sat.conflict",
                    {{"level", std::to_string(DecisionLevel())},
                     {"backjump", std::to_string(backjump_level)},
@@ -577,15 +556,10 @@ class CdclSearch {
   }
 
   void EmitRestartInstant() {
-    if (!InstantBudget()) return;
+    if (!TakeInstant(traced, &restart_instants)) return;
     trace::Instant("sat.restart",
                    {{"conflicts", std::to_string(stats.conflicts)},
                     {"learned", std::to_string(stats.learned_clauses)}});
-  }
-
-  void Finish(SatSolution& out) {
-    stats.CopyTo(out);
-    if (step_ring != nullptr) out.step_trace = step_ring->Drain();
   }
 
   const SatInstance& inst_;
@@ -615,13 +589,10 @@ Result<SatSolution> SolveCdcl(const SatInstance& inst,
 
   sat_internal::MetricsPublisher publish{&search.stats, "sat.cdcl.solves",
                                          /*cdcl=*/true};
-  std::unique_ptr<trace::RingBuffer<SatStep>> step_ring;
   if (publish.span.active()) {
     publish.span.Arg("vars", std::to_string(inst.num_vars));
     publish.span.Arg("clauses", std::to_string(inst.clauses.size()));
-    step_ring =
-        std::make_unique<trace::RingBuffer<SatStep>>(kSatStepTraceCapacity);
-    search.step_ring = step_ring.get();
+    search.traced = true;
   }
   return search.Run();
 }

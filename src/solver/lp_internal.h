@@ -2,11 +2,10 @@
 //
 // Not part of the public solver surface — include only from simplex
 // implementations: the revised simplex and the dense-tableau test oracle
-// (tests/oracles/). Provides the pivot-trace sink feeding
-// LpSolution::pivot_trace plus the common per-solve counter scope, so
-// both publish an identical metric vocabulary (lp.solves, lp.pivots,
-// lp.pivot_work, per-phase iteration counts) and differ only in their
-// implementation-specific counters.
+// (tests/oracles/). Provides the per-pivot trace instants plus the
+// common per-solve counter scope, so both publish an identical metric
+// vocabulary (lp.solves, lp.pivots, lp.pivot_work, per-phase iteration
+// counts) and differ only in their implementation-specific counters.
 
 #ifndef PSO_SOLVER_LP_INTERNAL_H_
 #define PSO_SOLVER_LP_INTERNAL_H_
@@ -20,29 +19,22 @@
 
 namespace pso::lp_internal {
 
-// Per-pivot instants emitted into the trace timeline per solve; the ring
-// buffer keeps recording past this.
+// Per-pivot instants emitted into the trace timeline per solve.
 inline constexpr size_t kMaxPivotInstants = 256;
 
-// Pivot-trace sink handed to a simplex pivot loop: a bounded ring of
-// audit records plus per-pivot trace instants. Null ring =>
-// introspection off, OnPivot costs one branch.
+// Emits one solve's `lp.pivot` trace instants, at most `remaining` of
+// them. `objective` is a callable, so a pivot past the cap, or in a solve
+// that opened with tracing off, costs one branch.
 struct PivotSink {
-  trace::RingBuffer<LpPivotStep>* ring = nullptr;
-  uint8_t phase = 2;
-  size_t instants_emitted = 0;
+  size_t remaining = 0;
 
-  void OnPivot(size_t iteration, size_t entering, size_t leaving,
-               double objective) {
-    if (ring == nullptr) return;
-    ring->Push(LpPivotStep{phase, iteration, entering, leaving, objective});
-    if (instants_emitted < kMaxPivotInstants && trace::Enabled()) {
-      ++instants_emitted;
-      trace::Instant("lp.pivot",
-                     {{"enter", std::to_string(entering)},
-                      {"leave", std::to_string(leaving)},
-                      {"obj", StrFormat("%.9g", objective)}});
-    }
+  template <typename ObjectiveFn>
+  void OnPivot(size_t entering, size_t leaving, ObjectiveFn objective) {
+    if (remaining == 0) return;
+    --remaining;
+    trace::Instant("lp.pivot", {{"enter", std::to_string(entering)},
+                                {"leave", std::to_string(leaving)},
+                                {"obj", StrFormat("%.9g", objective())}});
   }
 };
 
@@ -50,15 +42,18 @@ struct PivotSink {
 // exit path (optimal, infeasible, unbounded, pivot budget), and owns the
 // solve's `lp.solve` span, which the engine annotates through
 // `span.active()`/`span.Arg()`. Counters are seed-deterministic totals;
-// the span's duration lands in the `lp.solve` histogram. `pivot_work` is the FLOPs-equivalent tally: the number of
-// matrix/vector cells actually touched while pivoting — the revised
-// simplex counts traversed nonzeros, the dense oracle full rows x cols —
-// so the two are comparable on one axis.
+// the span's duration lands in the `lp.solve` histogram. `pivot_work` is
+// the FLOPs-equivalent tally: the number of matrix/vector cells actually
+// touched while pivoting — the revised simplex counts traversed nonzeros,
+// the dense oracle full rows x cols — so the two are comparable on one
+// axis. `pivots` emits the solve's pivot instants when tracing was on as
+// the span opened.
 struct SolveScope {
   size_t phase1_iterations = 0;
   size_t total_iterations = 0;
   size_t pivot_work = 0;
   trace::Span span{"lp.solve"};
+  PivotSink pivots{span.active() ? kMaxPivotInstants : 0};
 
   ~SolveScope() {
     metrics::GetCounter("lp.solves").Add(1);

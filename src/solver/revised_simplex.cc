@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -517,8 +516,7 @@ class SimplexState {
   // (basic set update + eta append + periodic refactorization). A pivot
   // past the max_pivots budget is refused with kResourceExhausted; bound
   // flips are not pivots and always go through.
-  Status Step(size_t q, bool phase1, size_t* degenerate_streak,
-              lp_internal::PivotSink* sink) {
+  Status Step(size_t q, bool phase1, size_t* degenerate_streak) {
     double dir = status_[q] == LpVarStatus::kAtLower ? 1.0 : -1.0;
     Ftran(q);
     Ratio r = RatioTest(q, phase1, dir);
@@ -569,14 +567,12 @@ class SimplexState {
     metrics::GetCounter("lp.eta_updates").Add(1);
     ++pivots_since_refactor_;
     *degenerate_streak = r.t <= kEps ? *degenerate_streak + 1 : 0;
-    size_t pivot_index = iterations_;
     ++iterations_;
     scope_->total_iterations = iterations_;
     if (phase1) ++scope_->phase1_iterations;
-    if (sink != nullptr && sink->ring != nullptr) {
-      sink->OnPivot(pivot_index, q, leaving,
-                    phase1 ? TotalViolation() : Objective());
-    }
+    scope_->pivots.OnPivot(q, leaving, [&] {
+      return phase1 ? TotalViolation() : Objective();
+    });
     if (pivots_since_refactor_ >= kRefactorInterval) {
       if (!Refactorize()) {
         return Status::Internal("basis refactorization failed");
@@ -641,7 +637,6 @@ class SimplexState {
   // construction".
   Status Phase1() {
     trace::Span span("lp.phase1");
-    lp_internal::PivotSink sink{ring_, /*phase=*/1};
     const size_t first_pivot = iterations_;
     size_t degenerate_streak = 0;
     while (true) {
@@ -658,8 +653,7 @@ class SimplexState {
         }
         break;  // Violations below tolerance: accept as feasible.
       }
-      Status step = Step(pr.enter, /*phase1=*/true, &degenerate_streak,
-                         &sink);
+      Status step = Step(pr.enter, /*phase1=*/true, &degenerate_streak);
       if (!step.ok()) return step;
       Tick(TotalViolation(), 1.0);
     }
@@ -675,7 +669,6 @@ class SimplexState {
   // early and sets *stalled so the caller can perturb.
   Status Phase2(bool bland, bool* stalled) {
     trace::Span span("lp.phase2");
-    lp_internal::PivotSink sink{ring_, /*phase=*/2};
     const size_t first_pivot = iterations_;
     size_t degenerate_streak = 0;
     *stalled = false;
@@ -688,8 +681,7 @@ class SimplexState {
       Pricing pr = Price(/*phase1=*/false,
                          degenerate_streak > kDegenerateStreak);
       if (pr.enter == SIZE_MAX) break;  // Optimal.
-      Status step = Step(pr.enter, /*phase1=*/false, &degenerate_streak,
-                         &sink);
+      Status step = Step(pr.enter, /*phase1=*/false, &degenerate_streak);
       if (!step.ok()) return step;
       Tick(Objective(), 2.0);
     }
@@ -724,8 +716,7 @@ class SimplexState {
     return st;
   }
 
-  Result<LpSolution> Run(const LpSolveOptions& options,
-                         trace::RingBuffer<LpPivotStep>* ring) {
+  Result<LpSolution> Run(const LpSolveOptions& options) {
     bool warm = false;
     if (options.warm_start != nullptr && !options.warm_start->empty()) {
       warm = WarmStart(*options.warm_start);
@@ -741,7 +732,6 @@ class SimplexState {
     }
 
     max_pivots_ = options.max_pivots;
-    ring_ = ring;
     progress::ScopedSolve solve_guard;
     progress::ProgressReporter progress("simplex", kProgressEvery);
     progress_ = &progress;
@@ -792,7 +782,6 @@ class SimplexState {
   size_t max_pivots_ = 0;
   lp_internal::SolveScope* scope_;
   size_t* pivot_work_;
-  trace::RingBuffer<LpPivotStep>* ring_ = nullptr;
   progress::ProgressReporter* progress_ = nullptr;
 };
 
@@ -801,18 +790,14 @@ class SimplexState {
 Result<LpSolution> SolveRevisedSimplex(const LpInstance& model,
                                        const LpSolveOptions& options) {
   lp_internal::SolveScope scope;
-  std::unique_ptr<trace::RingBuffer<LpPivotStep>> pivot_ring;
   if (scope.span.active()) {
     scope.span.Arg("vars", std::to_string(model.variables.size()));
     scope.span.Arg("constraints", std::to_string(model.rows.size()));
-    pivot_ring = std::make_unique<trace::RingBuffer<LpPivotStep>>(
-        kPivotTraceCapacity);
   }
   metrics::GetCounter("lp.sparse.solves").Add(1);
   SimplexState state(model, &scope);
-  Result<LpSolution> result = state.Run(options, pivot_ring.get());
-  if (result.ok() && pivot_ring != nullptr) {
-    result->pivot_trace = pivot_ring->Drain();
+  Result<LpSolution> result = state.Run(options);
+  if (result.ok() && scope.span.active()) {
     scope.span.Arg("pivots", std::to_string(result->iterations));
   }
   return result;

@@ -18,9 +18,18 @@ namespace pso::sat_internal {
 /// Tri-state variable assignment.
 enum class Assign : int8_t { kUnset = -1, kFalse = 0, kTrue = 1 };
 
-/// Per-solve cap on decision/conflict/restart instants emitted into the
-/// trace timeline; the step ring keeps recording past this.
+/// Per-solve cap on each search instant name (sat.decision, sat.conflict,
+/// sat.restart, sat.backtrack) emitted into the trace timeline.
 inline constexpr size_t kMaxSatInstants = 256;
+
+/// True, counting one more instant in *emitted, while a traced solve is
+/// under the per-name cap. `traced` is whether tracing was on as the
+/// solve's `sat.solve` span opened.
+inline bool TakeInstant(bool traced, size_t* emitted) {
+  if (!traced || *emitted >= kMaxSatInstants) return false;
+  ++*emitted;
+  return true;
+}
 
 /// Search totals a solver accumulates during one solve. The totals are
 /// input-deterministic, so the metric registry's sums stay reproducible.

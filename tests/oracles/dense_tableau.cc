@@ -9,7 +9,6 @@
 // ignored.
 
 #include <cmath>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -138,9 +137,7 @@ bool RunSimplex(Tableau& t, std::vector<size_t>& basis,
     basis[leave] = enter;
     // The tableau stores the negated running objective in the corner
     // cell; report the natural sign so traces read "objective fell".
-    if (sink != nullptr) {
-      sink->OnPivot(*iterations + iter, enter, leaving_var, -t.ObjValue());
-    }
+    sink->OnPivot(enter, leaving_var, [&] { return -t.ObjValue(); });
   }
 }
 
@@ -156,14 +153,9 @@ Result<LpSolution> SolveDenseTableau(const LpInstance& model,
                                      const LpSolveOptions& options) {
   // No factorization to reuse: the basis options are ignored.
   lp_internal::SolveScope scope;
-  // Introspection ring: one per solve, shared by both phases, collected
-  // only while tracing is on (the default path allocates nothing).
-  std::unique_ptr<trace::RingBuffer<LpPivotStep>> pivot_ring;
   if (scope.span.active()) {
     scope.span.Arg("vars", std::to_string(model.variables.size()));
     scope.span.Arg("constraints", std::to_string(model.rows.size()));
-    pivot_ring =
-        std::make_unique<trace::RingBuffer<LpPivotStep>>(kPivotTraceCapacity);
   }
   const size_t n = model.variables.size();
 
@@ -294,10 +286,9 @@ Result<LpSolution> SolveDenseTableau(const LpInstance& model,
         }
       }
       std::vector<bool> allowed(cols, true);
-      lp_internal::PivotSink sink{pivot_ring.get(), /*phase=*/1};
       bool phase1_done =
           RunSimplex(t, basis, allowed, options.max_pivots, &iterations,
-                     &scope.pivot_work, &sink);
+                     &scope.pivot_work, &scope.pivots);
       scope.phase1_iterations = iterations;
       scope.total_iterations = iterations;
       if (phase1_span.active()) {
@@ -346,10 +337,9 @@ Result<LpSolution> SolveDenseTableau(const LpInstance& model,
   }
   std::vector<bool> allowed(cols, true);
   for (size_t c = art_begin; c < cols; ++c) allowed[c] = false;
-  lp_internal::PivotSink phase2_sink{pivot_ring.get(), /*phase=*/2};
   bool phase2_done =
       RunSimplex(t, basis, allowed, options.max_pivots, &iterations,
-                 &scope.pivot_work, &phase2_sink);
+                 &scope.pivot_work, &scope.pivots);
   scope.total_iterations = iterations;
   if (phase2_span.active()) {
     phase2_span.Arg("pivots",
@@ -390,8 +380,7 @@ Result<LpSolution> SolveDenseTableau(const LpInstance& model,
   }
   sol.objective = obj;
   sol.iterations = iterations;
-  if (pivot_ring != nullptr) {
-    sol.pivot_trace = pivot_ring->Drain();
+  if (scope.span.active()) {
     scope.span.Arg("pivots", std::to_string(iterations));
   }
   return sol;

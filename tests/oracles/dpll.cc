@@ -3,7 +3,6 @@
 // oracle for the CDCL engine.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,7 +16,7 @@ namespace pso::oracles {
 namespace {
 
 using sat_internal::Assign;
-using sat_internal::kMaxSatInstants;
+using sat_internal::TakeInstant;
 
 // All per-solve search state.
 struct DpllSearch {
@@ -28,9 +27,6 @@ struct DpllSearch {
   std::vector<double> activity;
   std::vector<Lit> trail;
   sat_internal::SearchStats stats;
-  // Introspection sink: points at a Solve-local ring while tracing is
-  // enabled, null otherwise (Enqueue checks it on each propagation).
-  trace::RingBuffer<SatStep>* step_ring = nullptr;
 
   explicit DpllSearch(const SatInstance& instance)
       : inst(instance),
@@ -93,12 +89,6 @@ struct DpllSearch {
           return false;  // conflict
         }
         ++stats.propagations;
-        // trail_depth pre-push: the step ring records the trail length
-        // before the forced literal lands (see SatStep's convention).
-        if (step_ring != nullptr) {
-          step_ring->Push(SatStep{SatStep::Kind::kPropagation, LitVar(unit),
-                                  LitPositive(unit), trail.size()});
-        }
         values[LitVar(unit)] =
             LitPositive(unit) ? Assign::kTrue : Assign::kFalse;
         trail.push_back(unit);
@@ -124,27 +114,18 @@ Result<SatSolution> SolveDpll(const SatInstance& inst,
   // Publish this solve's search statistics on every exit path.
   sat_internal::MetricsPublisher publish{&search.stats, "sat.dpll.solves"};
 
-  // Introspection ring: created only while tracing is on.
-  std::unique_ptr<trace::RingBuffer<SatStep>> step_ring;
-  if (publish.span.active()) {
+  const bool traced = publish.span.active();
+  if (traced) {
     publish.span.Arg("vars", std::to_string(inst.num_vars));
     publish.span.Arg("clauses", std::to_string(inst.clauses.size()));
-    step_ring =
-        std::make_unique<trace::RingBuffer<SatStep>>(kSatStepTraceCapacity);
-    search.step_ring = step_ring.get();
   }
-  size_t instants_emitted = 0;
-
-  // Attaches the retained steps to a finished solution.
-  auto attach = [&](SatSolution& s) {
-    search.stats.CopyTo(s);
-    if (step_ring != nullptr) s.step_trace = step_ring->Drain();
-  };
+  size_t decision_instants = 0;
+  size_t backtrack_instants = 0;
 
   SatSolution out;
   if (inst.trivially_unsat) {
     out.satisfiable = false;
-    attach(out);
+    search.stats.CopyTo(out);
     return out;
   }
 
@@ -153,7 +134,7 @@ Result<SatSolution> SolveDpll(const SatInstance& inst,
     if (clause.size() == 1) {
       if (!search.Enqueue(clause[0])) {
         out.satisfiable = false;
-        attach(out);
+        search.stats.CopyTo(out);
         return out;
       }
     }
@@ -189,7 +170,7 @@ Result<SatSolution> SolveDpll(const SatInstance& inst,
       for (uint32_t i = 0; i < inst.num_vars; ++i) {
         out.assignment[i] = (search.values[i] == Assign::kTrue);
       }
-      attach(out);
+      search.stats.CopyTo(out);
       return out;
     }
 
@@ -200,16 +181,9 @@ Result<SatSolution> SolveDpll(const SatInstance& inst,
           StrFormat("SAT decision budget of %zu exceeded (dpll)",
                     options.max_decisions));
     }
-    if (search.step_ring != nullptr) {
-      search.step_ring->Push(SatStep{SatStep::Kind::kDecision,
-                                     static_cast<uint32_t>(v), true,
-                                     search.trail.size()});
-      if (instants_emitted < kMaxSatInstants && trace::Enabled()) {
-        ++instants_emitted;
-        trace::Instant("sat.decision",
-                       {{"var", std::to_string(v)},
-                        {"depth", std::to_string(stack.size())}});
-      }
+    if (TakeInstant(traced, &decision_instants)) {
+      trace::Instant("sat.decision", {{"var", std::to_string(v)},
+                                      {"depth", std::to_string(stack.size())}});
     }
 
     stack.push_back(
@@ -224,23 +198,17 @@ Result<SatSolution> SolveDpll(const SatInstance& inst,
       }
       if (stack.empty()) {
         out.satisfiable = false;
-        attach(out);
+        search.stats.CopyTo(out);
         return out;
       }
       Frame& frame = stack.back();
       search.Unwind(frame.trail_size);
       frame.tried_second = true;
       ++search.stats.backtracks;
-      if (search.step_ring != nullptr) {
-        search.step_ring->Push(SatStep{SatStep::Kind::kBacktrack,
-                                       frame.var, false,
-                                       search.trail.size()});
-        if (instants_emitted < kMaxSatInstants && trace::Enabled()) {
-          ++instants_emitted;
-          trace::Instant("sat.backtrack",
-                         {{"var", std::to_string(frame.var)},
-                          {"depth", std::to_string(stack.size())}});
-        }
+      if (TakeInstant(traced, &backtrack_instants)) {
+        trace::Instant("sat.backtrack",
+                       {{"var", std::to_string(frame.var)},
+                        {"depth", std::to_string(stack.size())}});
       }
       ok = search.Enqueue(MakeLit(frame.var, false));
     }

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -221,31 +222,42 @@ TEST(QueryServiceTest, TranscriptReplayIsThreadCountInvariant) {
   EXPECT_EQ(serial.rejected(), 12u * 2u);
 }
 
-TEST(QueryServiceTest, AsyncBatchExecutorMatchesDirectCalls) {
+// Batches for several clients answered concurrently on a pool through a
+// TaskGroup — the shape of the socket server's per-connection handlers —
+// release exactly what serial direct calls release.
+TEST(QueryServiceTest, ConcurrentBatchesMatchDirectCalls) {
   QueryServiceOptions opts;
   opts.eps_per_query = 0.5;
   opts.noise_seed = 3;
   std::vector<uint8_t> secret = {1, 1, 0, 0, 1, 0, 1, 0};
   std::vector<recon::SubsetQuery> batch = {{1, 1, 1, 1, 0, 0, 0, 0},
                                            {0, 0, 1, 1, 1, 1, 0, 0}};
+  constexpr uint64_t kClients = 6;
   QueryService direct_svc(secret, opts);
-  std::vector<QueryOutcome> direct = direct_svc.AnswerBatch(1, batch);
+  std::vector<std::vector<QueryOutcome>> direct;
+  for (uint64_t c = 0; c < kClients; ++c) {
+    direct.push_back(direct_svc.AnswerBatch(c, batch));
+  }
 
   ThreadPool pool(2);
-  QueryService async_svc(secret, opts);
-  service::AsyncBatchExecutor executor(&async_svc, &pool);
-  Mutex mu;
-  std::vector<QueryOutcome> async_outcomes;
-  executor.Submit(1, batch, [&](std::vector<QueryOutcome> got) {
-    MutexLock lock(mu);
-    async_outcomes = std::move(got);
-  });
-  executor.Drain();
-  MutexLock lock(mu);
-  ASSERT_EQ(async_outcomes.size(), direct.size());
-  for (size_t i = 0; i < direct.size(); ++i) {
-    ASSERT_TRUE(async_outcomes[i].ok());
-    EXPECT_EQ(*async_outcomes[i], *direct[i]);
+  QueryService concurrent_svc(secret, opts);
+  std::vector<std::vector<QueryOutcome>> concurrent(kClients);
+  {
+    TaskGroup group(&pool);
+    for (uint64_t c = 0; c < kClients; ++c) {
+      group.Submit([&, c] {
+        concurrent[c] = concurrent_svc.AnswerBatch(c, batch);
+      });
+    }
+    group.Wait();
+    EXPECT_EQ(group.failed(), 0u);
+  }
+  for (uint64_t c = 0; c < kClients; ++c) {
+    ASSERT_EQ(concurrent[c].size(), direct[c].size());
+    for (size_t i = 0; i < direct[c].size(); ++i) {
+      ASSERT_TRUE(concurrent[c][i].ok());
+      EXPECT_EQ(*concurrent[c][i], *direct[c][i]) << "client " << c;
+    }
   }
 }
 
@@ -335,6 +347,43 @@ TEST(WireTest, InfoLineRoundTrips) {
   EXPECT_EQ(parsed->eps_per_query, 0.25);
   EXPECT_EQ(parsed->client_budget_eps, 2.0);
   EXPECT_EQ(parsed->max_batch, 64u);
+}
+
+// Values a hostile or broken server could put on an `I` line: each must
+// be refused before the client sizes anything by it.
+TEST(WireTest, InfoLineRejectsOutOfRangeFields) {
+  for (const char* line : {
+           "I n=18446744073709551615 eps=0 budget=0 batch=8",
+           "I n=0 eps=0 budget=0 batch=8",
+           "I n=1048577 eps=0 budget=0 batch=8",
+           "I n=48 eps=0 budget=0 batch=0",
+           "I n=48 eps=nan budget=0 batch=8",
+           "I n=48 eps=inf budget=0 batch=8",
+           "I n=48 eps=-0.5 budget=0 batch=8",
+           "I n=48 eps=0.5 budget=-1 batch=8",
+           "I n=48 eps=0.5 budget=inf batch=8",
+           "I n=+48 eps=0 budget=0 batch=8",
+       }) {
+    Result<service::ServiceInfo> parsed = service::ParseInfoLine(line);
+    EXPECT_FALSE(parsed.ok()) << line;
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  service::ServiceInfo widest;
+  widest.n = service::kMaxWireN;
+  widest.max_batch = 1;
+  EXPECT_TRUE(service::ParseInfoLine(service::FormatInfoLine(widest)).ok());
+}
+
+TEST(WireTest, AnswerLineRejectsNonFiniteValue) {
+  for (const char* line : {"A 1 nan", "A 1 inf", "A 1 -inf", "A 1 1e999"}) {
+    EXPECT_FALSE(service::ParseAnswerLine(line).ok()) << line;
+  }
+  Result<Result<double>> largest = service::ParseAnswerLine("A 1 1e308");
+  ASSERT_TRUE(largest.ok());
+  ASSERT_TRUE(largest->ok());
+  EXPECT_EQ(**largest, 1e308);
 }
 
 // Socket smoke: serve on an ephemeral loopback port, attack through
@@ -495,6 +544,65 @@ TEST(QueryServerTest, OverlongRequestLineGetsErrorAndClose) {
 
   server.RequestShutdown();
   accept_group.Wait();
+}
+
+// A stub server that replies to anything with 1 MiB and no newline,
+// then holds the connection open for up to 5 s: the client must refuse
+// the line once it passes kMaxResponseLine instead of buffering the whole
+// flood and reporting the eventual hang-up.
+TEST(QueryServerTest, ClientRejectsOverlongResponseLine) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  socklen_t addr_len = sizeof(addr);
+  if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+             sizeof(addr)) < 0 ||
+      ::listen(listener, 1) < 0 ||
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                    &addr_len) < 0) {
+    ::close(listener);
+    GTEST_SKIP() << "loopback sockets unavailable";
+  }
+  std::thread stub([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    timeval tv{};
+    tv.tv_sec = 5;
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    const std::string flood(1 << 20, 'x');
+    size_t off = 0;
+    while (off < flood.size()) {
+      const ssize_t sent = ::send(fd, flood.data() + off, flood.size() - off,
+                                  MSG_NOSIGNAL);
+      if (sent <= 0) break;  // the client hung up
+      off += static_cast<size_t>(sent);
+    }
+    // Drain the request and wait for the client to hang up (EOF, reset
+    // or the 5 s receive timeout).
+    char buf[256];
+    while (::recv(fd, buf, sizeof(buf), 0) > 0) {
+    }
+    ::close(fd);
+  });
+
+  Result<service::ServiceInfo> info =
+      Status::Internal("connect to the stub failed");
+  {
+    Result<std::unique_ptr<service::SocketTransport>> conn =
+        service::SocketTransport::Connect(ntohs(addr.sin_port));
+    if (conn.ok()) info = (*conn)->Info();
+  }
+  stub.join();
+  ::close(listener);
+  ASSERT_FALSE(info.ok());
+  EXPECT_EQ(info.status().code(), StatusCode::kInvalidArgument)
+      << info.status().ToString();
+  EXPECT_NE(info.status().message().find("longer than"), std::string::npos)
+      << info.status().ToString();
 }
 
 #endif  // defined(__unix__) || defined(__APPLE__)

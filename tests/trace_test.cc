@@ -1,14 +1,16 @@
 // Tests for the hierarchical trace collector (common/trace.h): span
 // nesting, parent propagation into ParallelFor workers, Chrome-JSON
 // well-formedness, the determinism of the text-tree export across thread
-// counts, spans recording their histograms with tracing on or off,
-// ring-buffer semantics, and the LP/SAT introspection traces.
+// counts, spans recording their histograms with tracing on or off, and
+// the LP/SAT solver instants with their per-solve cap.
 
 #include "common/trace.h"
 
 #include <cctype>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
@@ -18,8 +20,8 @@
 
 #include "common/metrics.h"
 #include "common/parallel.h"
-#include "oracles/oracles.h"
 #include "solver/lp.h"
+#include "solver/lp_io.h"
 #include "solver/sat.h"
 
 namespace pso {
@@ -35,14 +37,6 @@ struct ScopedTracing {
   }
   ~ScopedTracing() { Collector::Global().Disable(); }
 };
-
-std::map<uint64_t, Event> SpansById(const std::vector<Event>& events) {
-  std::map<uint64_t, Event> out;
-  for (const Event& e : events) {
-    if (e.kind == Event::Kind::kSpan) out[e.id] = e;
-  }
-  return out;
-}
 
 const Event* FindSpan(const std::vector<Event>& events,
                       const std::string& name) {
@@ -60,7 +54,6 @@ TEST(TraceTest, DisabledRecordsNothing) {
     EXPECT_FALSE(span.active());
     EXPECT_EQ(span.id(), 0u);
     trace::Instant("neither.this");
-    trace::CounterSample("nor.this", 1.0);
   }
   EXPECT_TRUE(Collector::Global().TakeEvents().empty());
 }
@@ -89,18 +82,16 @@ TEST(TraceTest, NestedSpansLinkParentToChild) {
   EXPECT_GE(outer->dur_ns, inner->dur_ns);
 }
 
-TEST(TraceTest, InstantsAndCountersAttachToCurrentSpan) {
+TEST(TraceTest, InstantsAttachToCurrentSpan) {
   ScopedTracing tracing;
   {
     trace::Span span("holder");
     trace::Instant("tick", {{"k", "v"}});
-    trace::CounterSample("gauge", 42.5);
   }
   std::vector<Event> events = Collector::Global().TakeEvents();
   const Event* holder = FindSpan(events, "holder");
   ASSERT_NE(holder, nullptr);
   bool saw_instant = false;
-  bool saw_counter = false;
   for (const Event& e : events) {
     if (e.kind == Event::Kind::kInstant && e.name == "tick") {
       saw_instant = true;
@@ -109,14 +100,8 @@ TEST(TraceTest, InstantsAndCountersAttachToCurrentSpan) {
       EXPECT_EQ(e.args[0].first, "k");
       EXPECT_EQ(e.args[0].second, "v");
     }
-    if (e.kind == Event::Kind::kCounter && e.name == "gauge") {
-      saw_counter = true;
-      EXPECT_EQ(e.parent, holder->id);
-      EXPECT_DOUBLE_EQ(e.value, 42.5);
-    }
   }
   EXPECT_TRUE(saw_instant);
-  EXPECT_TRUE(saw_counter);
 }
 
 TEST(TraceTest, ParallelForChunksNestUnderRegionSpan) {
@@ -264,7 +249,6 @@ TEST(TraceTest, ChromeJsonIsWellFormed) {
     trace::Span span("outer \"quoted\" name");
     span.Arg("note", "value with \\ and \"quotes\" and\nnewline");
     trace::Instant("mark", {{"x", "1"}});
-    trace::CounterSample("c", -0.5);
     ParallelFor(&pool, 16, [&](size_t, size_t) {});
   }
   std::string json = Collector::Global().ChromeJson();
@@ -370,28 +354,6 @@ TEST(TraceTest, SpanEventAndHistogramShareOneClockPair) {
   EXPECT_GT(timed->dur_ns, 0u);
 }
 
-TEST(TraceTest, RingBufferKeepsMostRecent) {
-  trace::RingBuffer<int> ring(3);
-  for (int i = 1; i <= 5; ++i) ring.Push(i);
-  EXPECT_EQ(ring.total(), 5u);
-  EXPECT_EQ(ring.size(), 3u);
-  std::vector<int> kept = ring.Drain();
-  ASSERT_EQ(kept.size(), 3u);
-  EXPECT_EQ(kept[0], 3);
-  EXPECT_EQ(kept[1], 4);
-  EXPECT_EQ(kept[2], 5);
-}
-
-TEST(TraceTest, RingBufferUnderCapacity) {
-  trace::RingBuffer<int> ring(8);
-  ring.Push(7);
-  ring.Push(9);
-  std::vector<int> kept = ring.Drain();
-  ASSERT_EQ(kept.size(), 2u);
-  EXPECT_EQ(kept[0], 7);
-  EXPECT_EQ(kept[1], 9);
-}
-
 // A small LP whose solve needs at least one pivot: minimize -x - y
 // subject to x + y <= 1, x, y in [0, 1].
 Result<LpSolution> SolveSmallLp() {
@@ -402,18 +364,23 @@ Result<LpSolution> SolveSmallLp() {
   return lp.Solve();
 }
 
-TEST(TraceTest, LpPivotTraceRecordedWhenEnabled) {
+// Number of instants named `name` among `events`.
+size_t CountInstants(const std::vector<Event>& events,
+                     const std::string& name) {
+  size_t n = 0;
+  for (const Event& e : events) {
+    if (e.kind == Event::Kind::kInstant && e.name == name) ++n;
+  }
+  return n;
+}
+
+TEST(TraceTest, LpSolveSpanTreeAndPivotInstants) {
   ScopedTracing tracing;
   auto solved = SolveSmallLp();
   ASSERT_TRUE(solved.ok());
-  ASSERT_FALSE(solved->pivot_trace.empty());
-  EXPECT_EQ(solved->pivot_trace.size(), solved->iterations);
-  for (const LpPivotStep& step : solved->pivot_trace) {
-    EXPECT_TRUE(step.phase == 1 || step.phase == 2);
-  }
+  ASSERT_GT(solved->iterations, 0u);
   // The span tree shows the phase pair under lp.solve.
   std::vector<Event> events = Collector::Global().TakeEvents();
-  auto spans = SpansById(events);
   const Event* solve = FindSpan(events, "lp.solve");
   const Event* phase1 = FindSpan(events, "lp.phase1");
   const Event* phase2 = FindSpan(events, "lp.phase2");
@@ -422,23 +389,16 @@ TEST(TraceTest, LpPivotTraceRecordedWhenEnabled) {
   ASSERT_NE(phase2, nullptr);
   EXPECT_EQ(phase1->parent, solve->id);
   EXPECT_EQ(phase2->parent, solve->id);
-  bool saw_pivot_instant = false;
+  // One lp.pivot instant per pivot, each under a phase span.
+  EXPECT_EQ(CountInstants(events, "lp.pivot"), solved->iterations);
   for (const Event& e : events) {
     if (e.kind == Event::Kind::kInstant && e.name == "lp.pivot") {
-      saw_pivot_instant = true;
+      EXPECT_TRUE(e.parent == phase1->id || e.parent == phase2->id);
     }
   }
-  EXPECT_TRUE(saw_pivot_instant);
 }
 
-TEST(TraceTest, LpPivotTraceEmptyWhenDisabled) {
-  Collector::Global().Disable();
-  auto solved = SolveSmallLp();
-  ASSERT_TRUE(solved.ok());
-  EXPECT_TRUE(solved->pivot_trace.empty());
-}
-
-TEST(TraceTest, SatStepTraceRecordedWhenEnabled) {
+TEST(TraceTest, SatSolveSpanCarriesDecisionInstants) {
   ScopedTracing tracing;
   SatSolver solver(3);
   solver.AddClause({MakeLit(0, true), MakeLit(1, true)});
@@ -447,90 +407,77 @@ TEST(TraceTest, SatStepTraceRecordedWhenEnabled) {
   auto solved = solver.Solve();
   ASSERT_TRUE(solved.ok());
   ASSERT_TRUE(solved->satisfiable);
-  ASSERT_FALSE(solved->step_trace.empty());
-  size_t decisions = 0;
-  size_t propagations = 0;
-  for (const SatStep& step : solved->step_trace) {
-    if (step.kind == SatStep::Kind::kDecision) ++decisions;
-    if (step.kind == SatStep::Kind::kPropagation) ++propagations;
-  }
-  EXPECT_EQ(decisions, solved->decisions);
-  EXPECT_EQ(propagations, solved->propagations);
-  const Event* solve =
-      FindSpan(Collector::Global().TakeEvents(), "sat.solve");
+  ASSERT_GT(solved->decisions, 0u);
+  std::vector<Event> events = Collector::Global().TakeEvents();
+  const Event* solve = FindSpan(events, "sat.solve");
   ASSERT_NE(solve, nullptr);
-}
-
-TEST(TraceTest, SatStepTrailDepthConvention) {
-  // Pins the SatStep::trail_depth convention documented in sat.h for
-  // BOTH the CDCL engine and its DPLL oracle: decisions and propagations
-  // record the trail length immediately before their own assignment
-  // lands; a backtrack records the post-unwind length. Replaying the
-  // trace with a simulated trail length must therefore match every
-  // recorded depth. DPLL's backtrack step carries the chronological flip
-  // (one assignment lands as part of the step); CDCL's backjump is a pure
-  // unwind whose asserting literal arrives as a separate propagation step.
-  for (const oracles::SatEngine& engine :
-       {oracles::kDpll, oracles::kCdcl}) {
-    const std::string name = engine.name;
-    ScopedTracing tracing;
-    // Pigeonhole 4->3: no unit clauses (the replayed trail starts
-    // empty), UNSAT, and small enough that CDCL never restarts.
-    const uint32_t pigeons = 4;
-    const uint32_t holes = 3;
-    SatSolver solver(pigeons * holes);
-    for (uint32_t p = 0; p < pigeons; ++p) {
-      std::vector<Lit> somewhere;
-      for (uint32_t h = 0; h < holes; ++h) {
-        somewhere.push_back(MakeLit(p * holes + h, true));
-      }
-      solver.AddClause(somewhere);
+  EXPECT_EQ(CountInstants(events, "sat.decision"), solved->decisions);
+  for (const Event& e : events) {
+    if (e.kind == Event::Kind::kInstant && e.name == "sat.decision") {
+      EXPECT_EQ(e.parent, solve->id);
     }
-    for (uint32_t h = 0; h < holes; ++h) {
-      for (uint32_t p1 = 0; p1 < pigeons; ++p1) {
-        for (uint32_t p2 = p1 + 1; p2 < pigeons; ++p2) {
-          solver.AddBinary(MakeLit(p1 * holes + h, false),
-                          MakeLit(p2 * holes + h, false));
-        }
-      }
-    }
-    ASSERT_TRUE(solver.build_status().ok());
-    auto solved = engine.solve(solver.instance(), {});
-    ASSERT_TRUE(solved.ok());
-    EXPECT_FALSE(solved->satisfiable);
-    ASSERT_LE(solved->step_trace.size(), kSatStepTraceCapacity)
-        << name << ": trace truncation would break the replay";
-    size_t trail = 0;
-    size_t backtracks_seen = 0;
-    for (const SatStep& step : solved->step_trace) {
-      switch (step.kind) {
-        case SatStep::Kind::kDecision:
-        case SatStep::Kind::kPropagation:
-          EXPECT_EQ(step.trail_depth, trail)
-              << name << ": pre-push depth on var " << step.var;
-          ++trail;
-          break;
-        case SatStep::Kind::kBacktrack:
-          ++backtracks_seen;
-          EXPECT_LT(step.trail_depth, trail)
-              << name << ": a backtrack must shrink the trail";
-          trail = step.trail_depth;
-          if (name == "dpll") ++trail;  // the flip lands with the step
-          break;
-      }
-    }
-    EXPECT_GT(backtracks_seen, 0u) << name;
-    Collector::Global().TakeEvents();
   }
 }
 
-TEST(TraceTest, SatStepTraceEmptyWhenDisabled) {
-  Collector::Global().Disable();
-  SatSolver solver(2);
-  solver.AddClause({MakeLit(0, true), MakeLit(1, true)});
-  auto solved = solver.Solve();
-  ASSERT_TRUE(solved.ok());
-  EXPECT_TRUE(solved->step_trace.empty());
+// Pigeonhole: `pigeons` pigeons into pigeons - 1 holes, UNSAT, with no
+// unit clauses.
+SatSolver Pigeonhole(uint32_t pigeons) {
+  const uint32_t holes = pigeons - 1;
+  SatSolver solver(pigeons * holes);
+  for (uint32_t p = 0; p < pigeons; ++p) {
+    std::vector<Lit> somewhere;
+    for (uint32_t h = 0; h < holes; ++h) {
+      somewhere.push_back(MakeLit(p * holes + h, true));
+    }
+    solver.AddClause(somewhere);
+  }
+  for (uint32_t h = 0; h < holes; ++h) {
+    for (uint32_t p1 = 0; p1 < pigeons; ++p1) {
+      for (uint32_t p2 = p1 + 1; p2 < pigeons; ++p2) {
+        solver.AddBinary(MakeLit(p1 * holes + h, false),
+                         MakeLit(p2 * holes + h, false));
+      }
+    }
+  }
+  return solver;
+}
+
+// Reads a saved instance from tests/data/ ("" when it is missing).
+std::string FetchFixture(const std::string& name) {
+  std::ifstream in(std::string(PSO_TEST_DATA_DIR) + "/" + name,
+                   std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// A traced solve emits at most 256 instants of each solver instant name,
+// however long the search runs.
+TEST(TraceTest, SolverInstantsCappedPerSolve) {
+  // The exact-answer n = 64 decode LP (see lp_io_test): over 1,000
+  // pivots across phase 1, the perturbed phase 2 and the clean-up.
+  const std::string bytes = FetchFixture("recon_exact_n64_seed1.psolp");
+  ASSERT_FALSE(bytes.empty()) << "fixture missing from " PSO_TEST_DATA_DIR;
+  Result<LpInstance> inst = DecodeLpInstance(bytes);
+  ASSERT_TRUE(inst.ok()) << inst.status().ToString();
+  {
+    ScopedTracing tracing;
+    Result<LpSolution> sol = inst->ToProblem().Solve();
+    ASSERT_TRUE(sol.ok()) << sol.status().ToString();
+    ASSERT_GT(sol->iterations, 1000u);
+    EXPECT_EQ(CountInstants(Collector::Global().TakeEvents(), "lp.pivot"),
+              256u);
+  }
+  {
+    ScopedTracing tracing;
+    SatSolver solver = Pigeonhole(8);
+    Result<SatSolution> sol = solver.Solve();
+    ASSERT_TRUE(sol.ok()) << sol.status().ToString();
+    EXPECT_FALSE(sol->satisfiable);
+    ASSERT_GT(sol->conflicts, 256u);
+    EXPECT_EQ(
+        CountInstants(Collector::Global().TakeEvents(), "sat.conflict"),
+        256u);
+  }
 }
 
 TEST(TraceTest, DroppedEventsAreCounted) {

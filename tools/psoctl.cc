@@ -464,20 +464,25 @@ extern "C" void ServeSignalHandler(int) {
 }
 
 int RunServe(const Flags& flags) {
-  if (flags.GetInt("n", 48) < 1 || flags.GetInt("max-batch", 64) < 1 ||
-      flags.GetDouble("eps", 0.0) < 0.0 ||
-      flags.GetDouble("budget", 0.0) < 0.0) {
+  // The same bounds a client's ParseInfoLine enforces on the INFO reply.
+  const double eps = flags.GetDouble("eps", 0.0);
+  const double budget = flags.GetDouble("budget", 0.0);
+  if (flags.GetInt("n", 48) < 1 ||
+      flags.GetInt("n", 48) > static_cast<int64_t>(service::kMaxWireN) ||
+      flags.GetInt("max-batch", 64) < 1 || !std::isfinite(eps) ||
+      eps < 0.0 || !std::isfinite(budget) || budget < 0.0) {
     std::fprintf(stderr,
-                 "invalid flags: need --n >= 1, --max-batch >= 1, "
-                 "--eps >= 0, --budget >= 0\n");
+                 "invalid flags: need 1 <= --n <= %zu, --max-batch >= 1, "
+                 "finite --eps >= 0, finite --budget >= 0\n",
+                 service::kMaxWireN);
     return 2;
   }
   const size_t n = static_cast<size_t>(flags.GetInt("n", 48));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   Rng rng(seed);
   service::QueryServiceOptions sopts;
-  sopts.eps_per_query = flags.GetDouble("eps", 0.0);
-  sopts.client_budget_eps = flags.GetDouble("budget", 0.0);
+  sopts.eps_per_query = eps;
+  sopts.client_budget_eps = budget;
   sopts.noise_seed = seed;
   sopts.max_batch = static_cast<size_t>(flags.GetInt("max-batch", 64));
   service::QueryService svc(recon::RandomBits(n, rng), sopts);
