@@ -97,10 +97,6 @@ void SetMinLevel(Level level) {
   g_initialized.store(true, std::memory_order_relaxed);
 }
 
-Level MinLevel() {
-  return static_cast<Level>(g_min_level.load(std::memory_order_relaxed));
-}
-
 bool ShouldLog(Level level) {
   return static_cast<int>(level) >=
          g_min_level.load(std::memory_order_relaxed);

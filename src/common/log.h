@@ -34,7 +34,6 @@ inline constexpr Level kERROR = Level::kError;
 
 /// Messages below `level` are discarded (default kWarn).
 void SetMinLevel(Level level);
-Level MinLevel();
 
 /// The cheap front gate: one relaxed atomic load.
 bool ShouldLog(Level level);

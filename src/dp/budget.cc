@@ -48,11 +48,6 @@ BudgetClientState BudgetLedger::ClientState(uint64_t client) const {
   return it == clients_.end() ? BudgetClientState{} : it->second;
 }
 
-size_t BudgetLedger::NumClients() const {
-  MutexLock lock(mu_);
-  return clients_.size();
-}
-
 uint64_t BudgetLedger::TotalAnswered() const {
   MutexLock lock(mu_);
   uint64_t total = 0;

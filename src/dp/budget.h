@@ -58,9 +58,6 @@ class BudgetLedger {
   /// Snapshot of one client's state (zeros for a never-seen client).
   BudgetClientState ClientState(uint64_t client) const PSO_EXCLUDES(mu_);
 
-  /// Number of distinct clients that have issued at least one charge.
-  size_t NumClients() const PSO_EXCLUDES(mu_);
-
   /// Totals across all clients.
   uint64_t TotalAnswered() const PSO_EXCLUDES(mu_);
   uint64_t TotalRejected() const PSO_EXCLUDES(mu_);

@@ -53,23 +53,6 @@ class FixedValueAdversary final : public Adversary {
   std::string attr_name_;
 };
 
-class ConstantAdversary final : public Adversary {
- public:
-  ConstantAdversary(PredicateRef pred, std::string name)
-      : pred_(std::move(pred)), name_(std::move(name)) {
-    PSO_CHECK(pred_ != nullptr);
-  }
-  std::string Name() const override { return name_; }
-  PredicateRef Attack(const MechanismOutput&, const AttackContext&,
-                      Rng&) const override {
-    return pred_;
-  }
-
- private:
-  PredicateRef pred_;
-  std::string name_;
-};
-
 class CountTunedAdversary final : public Adversary {
  public:
   CountTunedAdversary(PredicateRef q, std::string query_name)
@@ -199,11 +182,6 @@ AdversaryRef MakeFixedValueAdversary(size_t attr, int64_t value,
                                      std::string attr_name) {
   return std::make_shared<FixedValueAdversary>(attr, value,
                                                std::move(attr_name));
-}
-
-AdversaryRef MakeConstantAdversary(PredicateRef pred, std::string name) {
-  return std::make_shared<ConstantAdversary>(std::move(pred),
-                                             std::move(name));
 }
 
 AdversaryRef MakeCountTunedAdversary(PredicateRef q,

@@ -148,20 +148,13 @@ Reconstruction ExhaustiveReconstruct(SubsetSumOracle& oracle, double alpha,
 
 Result<Reconstruction> LpReconstruct(SubsetSumOracle& oracle,
                                      size_t num_queries, Rng& rng) {
-  return LpReconstruct(oracle, num_queries, rng, LpDecodeOptions{});
-}
-
-Result<Reconstruction> LpReconstruct(SubsetSumOracle& oracle,
-                                     size_t num_queries, Rng& rng,
-                                     const LpDecodeOptions& options) {
   QuerySet qs = DrawRandomQueries(oracle, num_queries, rng);
-  return LpDecodeRecorded(oracle.n(), qs.queries, qs.answers, options);
+  return LpDecodeRecorded(oracle.n(), qs.queries, qs.answers);
 }
 
 Result<Reconstruction> LpDecodeRecorded(size_t n,
                                         const std::vector<SubsetQuery>& queries,
-                                        const std::vector<double>& answers,
-                                        const LpDecodeOptions& options) {
+                                        const std::vector<double>& answers) {
   Status shape = CheckTranscript(n, queries, answers);
   if (!shape.ok()) return shape;
   const size_t num_queries = queries.size();
@@ -192,12 +185,7 @@ Result<Reconstruction> LpDecodeRecorded(size_t n,
     lp.AddConstraint(row, Relation::kEqual, answers[j]);
   }
 
-  LpSolveOptions solve_options;
-  if (options.basis != nullptr) {
-    if (!options.basis->empty()) solve_options.warm_start = options.basis;
-    solve_options.final_basis = options.basis;
-  }
-  Result<LpSolution> solved = lp.Solve(solve_options);
+  Result<LpSolution> solved = lp.Solve();
   if (!solved.ok()) return solved.status();
 
   Reconstruction out;

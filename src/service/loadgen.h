@@ -127,13 +127,11 @@ enum class Decoder {
   kLeastSquares,  ///< Projected-gradient (LeastSquaresDecodeRecorded).
 };
 
-/// Feeds the transcript's ANSWERED entries to the chosen decoder and
-/// returns its reconstruction. kFailedPrecondition when the transcript
-/// holds no answered entries at all.
+/// Feeds the transcript's ANSWERED entries to the chosen decoder (at its
+/// default settings) and returns its reconstruction. kFailedPrecondition
+/// when the transcript holds no answered entries at all.
 [[nodiscard]] Result<recon::Reconstruction> DecodeTranscript(
-    const Transcript& transcript, Decoder decoder,
-    const recon::LpDecodeOptions& lp_options = recon::LpDecodeOptions{},
-    size_t lsq_iterations = 400);
+    const Transcript& transcript, Decoder decoder);
 
 /// Writes the transcript as wire-format line pairs (`Q ...` then the
 /// matching `A`/`E` line) — replayable and diffable; the CI smoke lane

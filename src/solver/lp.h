@@ -13,7 +13,7 @@
 #ifndef PSO_SOLVER_LP_H_
 #define PSO_SOLVER_LP_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -57,38 +57,12 @@ struct LpInstance {
   LpProblem ToProblem() const;
 };
 
-/// Basis membership of one column, as snapshotted for warm starts.
-enum class LpVarStatus : uint8_t {
-  kAtLower = 0,  ///< Nonbasic at its lower bound.
-  kAtUpper = 1,  ///< Nonbasic at its upper bound.
-  kBasic = 2,    ///< In the basis.
-};
-
-/// A basis snapshot: one status per structural variable and one per row
-/// logical. Produced by an optimal solve and fed back into a later solve
-/// of a same-shaped (or grown) instance. A basis from a *smaller*
-/// instance warm-starts a grown one: appended rows start with their
-/// logical basic, appended variables start at their lower bound (the
-/// natural state after AddConstraint/AddVariable).
-struct LpBasis {
-  std::vector<LpVarStatus> structurals;
-  std::vector<LpVarStatus> logicals;
-
-  bool empty() const { return structurals.empty() && logicals.empty(); }
-};
-
-/// Per-solve options. The pointers are borrowed; null = off.
+/// Per-solve options.
 struct LpSolveOptions {
   /// Pivot budget, the LP analogue of SatSolveOptions::max_decisions: a
   /// solve that has not reached an answer after this many pivots returns
   /// kResourceExhausted. Bound flips do not count as pivots.
   size_t max_pivots = 200000;
-  /// Basis hint from a previous solve. A singular or mis-shaped hint is
-  /// silently replaced by a cold start.
-  const LpBasis* warm_start = nullptr;
-  /// When non-null, the final basis is written here on an optimal solve
-  /// (left untouched otherwise).
-  LpBasis* final_basis = nullptr;
 };
 
 /// A linear program under construction.
@@ -126,8 +100,8 @@ class LpProblem {
   /// constraint; then the first violation, as InvalidArgument.
   const Status& build_status() const { return build_status_; }
 
-  /// Solves to optimality with the revised simplex, warm-started,
-  /// budgeted and basis-reporting as `options` ask. Returns the recorded
+  /// Solves to optimality with the revised simplex from a cold start,
+  /// within the pivot budget in `options`. Returns the recorded
   /// build_status() error if the instance is malformed, kInfeasible if no
   /// feasible point exists, kUnbounded if the objective improves without
   /// bound (our decoding LPs are always bounded, so callers may treat it

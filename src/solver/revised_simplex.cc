@@ -52,6 +52,13 @@ constexpr uint64_t kPerturbKey = 0x5eed0f1b0d5ca1e5ULL;
 // boundary, never a timer, so heartbeats replay deterministically.
 constexpr uint64_t kProgressEvery = 256;
 
+// Basis membership of one column.
+enum class LpVarStatus : uint8_t {
+  kAtLower = 0,  // Nonbasic at its lower bound.
+  kAtUpper = 1,  // Nonbasic at its upper bound.
+  kBasic = 2,    // In the basis.
+};
+
 // One product-form eta: the FTRAN image w = B^-1 A_q of an entering
 // column, split into the pivot element and the off-pivot nonzeros.
 // Applying the eta forward divides the pivot position by pivot_value and
@@ -309,7 +316,7 @@ class SimplexState {
     return total;
   }
 
-  // ---- Start bases -------------------------------------------------
+  // ---- Start basis -------------------------------------------------
 
   // All-logical basis plus a singleton crash: an equality row whose
   // +1-coefficient structural appears in no other row (and has no upper
@@ -339,49 +346,6 @@ class SimplexState {
     for (size_t j = 0; j < ncols_; ++j) {
       x_[j] = status_[j] == LpVarStatus::kBasic ? 0.0 : NonbasicValue(j);
     }
-  }
-
-  // Installs a warm-start basis. A basis from a smaller instance is
-  // padded (new rows -> logical basic, new variables -> at lower bound);
-  // statuses parked on an infinite bound are coerced to the finite side.
-  // Returns false (leaving state unspecified) if the basis is mis-shaped
-  // or singular — the caller cold-starts.
-  bool WarmStart(const LpBasis& basis) {
-    if (basis.structurals.size() > n_ || basis.logicals.size() > m_) {
-      return false;
-    }
-    for (size_t j = 0; j < n_; ++j) {
-      status_[j] = j < basis.structurals.size() ? basis.structurals[j]
-                                                : LpVarStatus::kAtLower;
-    }
-    for (size_t i = 0; i < m_; ++i) {
-      status_[n_ + i] = i < basis.logicals.size() ? basis.logicals[i]
-                                                  : LpVarStatus::kBasic;
-    }
-    size_t basics = 0;
-    for (size_t j = 0; j < ncols_; ++j) {
-      if (status_[j] == LpVarStatus::kBasic) {
-        ++basics;
-        continue;
-      }
-      if (status_[j] == LpVarStatus::kAtLower && !std::isfinite(lower_[j])) {
-        status_[j] = LpVarStatus::kAtUpper;
-      } else if (status_[j] == LpVarStatus::kAtUpper &&
-                 !std::isfinite(upper_[j])) {
-        status_[j] = LpVarStatus::kAtLower;
-      }
-    }
-    if (basics != m_) return false;
-    if (!Refactorize()) return false;
-    SnapNonbasic();
-    ComputeBasicValues();
-    metrics::GetCounter("lp.warm_starts").Add(1);
-    return true;
-  }
-
-  void ExportBasis(LpBasis* out) const {
-    out->structurals.assign(status_.begin(), status_.begin() + n_);
-    out->logicals.assign(status_.begin() + n_, status_.end());
   }
 
   // ---- Simplex core ------------------------------------------------
@@ -633,7 +597,7 @@ class SimplexState {
 
   // Phase 1: drives out basic bound violations, with Bland's rule after
   // a degenerate streak. The span always opens, even for a feasible
-  // (crashed / warm) start: a zero-pivot phase 1 documents "feasible by
+  // (crashed) start: a zero-pivot phase 1 documents "feasible by
   // construction".
   Status Phase1() {
     trace::Span span("lp.phase1");
@@ -717,19 +681,13 @@ class SimplexState {
   }
 
   Result<LpSolution> Run(const LpSolveOptions& options) {
-    bool warm = false;
-    if (options.warm_start != nullptr && !options.warm_start->empty()) {
-      warm = WarmStart(*options.warm_start);
+    ColdStart();
+    if (!Refactorize()) {
+      // The cold basis is triangular by construction; this cannot fire
+      // unless the instance itself is numerically broken.
+      return Status::Internal("cold-start basis is singular");
     }
-    if (!warm) {
-      ColdStart();
-      if (!Refactorize()) {
-        // The cold basis is triangular by construction; this cannot fire
-        // unless the instance itself is numerically broken.
-        return Status::Internal("cold-start basis is singular");
-      }
-      ComputeBasicValues();
-    }
+    ComputeBasicValues();
 
     max_pivots_ = options.max_pivots;
     progress::ScopedSolve solve_guard;
@@ -752,7 +710,6 @@ class SimplexState {
     for (size_t j = 0; j < n_; ++j) obj += cost_[j] * sol.values[j];
     sol.objective = obj;
     sol.iterations = iterations_;
-    if (options.final_basis != nullptr) ExportBasis(options.final_basis);
     return sol;
   }
 

@@ -15,7 +15,7 @@
 //   - The constraint matrix is stored column-sparse (CSC); the basis
 //     inverse is a product-form eta file, refreshed by a from-scratch
 //     refactorization with partial pivoting every kRefactorInterval
-//     pivots (and on warm starts).
+//     pivots.
 //   - Composite phase 1 drives out bound infeasibilities of basic
 //     variables; phase 2 optimizes. Dantzig pricing; entering variables
 //     that hit their own opposite bound flip without a basis change. The
@@ -31,8 +31,8 @@
 //     termination guarantee) decides the status and the objective.
 //   - A pivot budget (LpSolveOptions::max_pivots) bounds the work; an
 //     overrun is kResourceExhausted with every pivot counted.
-//   - Warm starts accept an LpBasis from a previous (possibly smaller)
-//     solve; a singular or mis-shaped basis silently cold-starts.
+//   - Every solve starts cold, from the all-logical basis plus a
+//     singleton crash; an L1-fit decode LP crashes to a feasible basis.
 
 #ifndef PSO_SOLVER_REVISED_SIMPLEX_H_
 #define PSO_SOLVER_REVISED_SIMPLEX_H_

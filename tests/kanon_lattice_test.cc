@@ -1,28 +1,21 @@
-// Tests for the optimal full-domain lattice anonymizer, plus the
-// l-diversity-enforcing Mondrian option.
+// Tests for the l-diversity-enforcing Mondrian option.
 
 #include <gtest/gtest.h>
-
-#include <map>
 
 #include "common/rng.h"
 #include "data/generators.h"
 #include "kanon/checks.h"
-#include "kanon/datafly.h"
-#include "kanon/lattice.h"
-#include "kanon/metrics.h"
 #include "kanon/mondrian.h"
 
 namespace pso::kanon {
 namespace {
 
-struct LatticeFixture {
+struct MondrianFixture {
   Universe universe = MakeGicMedicalUniverse(50);
   Dataset data;
   HierarchySet hierarchies;
-  std::vector<size_t> qi = {0, 1, 3};  // zip, birth_year, sex
 
-  explicit LatticeFixture(uint64_t seed, size_t n = 300)
+  explicit MondrianFixture(uint64_t seed, size_t n)
       : data(Sample(universe, seed, n)),
         hierarchies(HierarchySet::Defaults(universe.schema)) {}
 
@@ -32,100 +25,8 @@ struct LatticeFixture {
   }
 };
 
-TEST(LatticeTest, OutputIsKAnonymousAndMinimal) {
-  LatticeFixture s(1);
-  LatticeOptions opts;
-  opts.k = 5;
-  opts.qi_attrs = s.qi;
-  auto result = OptimalFullDomainAnonymize(s.data, s.hierarchies, opts);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(IsKAnonymous(result->anonymization.generalized, 5, s.qi));
-  EXPECT_GE(result->minimal_nodes, 1u);
-  // Minimality: lowering any single chosen level breaks k-anonymity.
-  for (size_t j = 0; j < s.qi.size(); ++j) {
-    if (result->levels[j] == 0) continue;
-    std::vector<size_t> lowered = result->levels;
-    --lowered[j];
-    // Re-check anonymity at the lowered vector.
-    std::map<std::vector<std::pair<int64_t, int64_t>>, size_t> counts;
-    for (const Record& r : s.data.records()) {
-      std::vector<std::pair<int64_t, int64_t>> key;
-      for (size_t jj = 0; jj < s.qi.size(); ++jj) {
-        GenCell c = s.hierarchies.hierarchy(s.qi[jj]).Generalize(
-            r[s.qi[jj]], lowered[jj]);
-        key.emplace_back(c.lo, c.hi);
-      }
-      ++counts[std::move(key)];
-    }
-    bool anonymous = true;
-    for (const auto& [key, count] : counts) {
-      if (count < 5) {
-        anonymous = false;
-        break;
-      }
-    }
-    EXPECT_FALSE(anonymous)
-        << "level vector is not minimal in coordinate " << j;
-  }
-}
-
-TEST(LatticeTest, NeverWorseThanDataflyWithoutSuppression) {
-  LatticeFixture s(2);
-  LatticeOptions lopts;
-  lopts.k = 5;
-  lopts.qi_attrs = s.qi;
-  auto optimal = OptimalFullDomainAnonymize(s.data, s.hierarchies, lopts);
-  ASSERT_TRUE(optimal.ok());
-
-  DataflyOptions dopts;
-  dopts.k = 5;
-  dopts.qi_attrs = s.qi;
-  dopts.max_suppression = 0.0;  // same feasible set as the lattice
-  auto greedy = DataflyAnonymize(s.data, s.hierarchies, dopts);
-  ASSERT_TRUE(greedy.ok());
-
-  EXPECT_LE(
-      GeneralizedInformationLoss(optimal->anonymization.generalized),
-      GeneralizedInformationLoss(greedy->generalized) + 1e-12);
-}
-
-TEST(LatticeTest, CoversOriginals) {
-  LatticeFixture s(3, 200);
-  LatticeOptions opts;
-  opts.k = 3;
-  opts.qi_attrs = s.qi;
-  auto result = OptimalFullDomainAnonymize(s.data, s.hierarchies, opts);
-  ASSERT_TRUE(result.ok());
-  for (size_t i = 0; i < s.data.size(); ++i) {
-    EXPECT_TRUE(result->anonymization.generalized.Covers(
-        i, s.data.record(i)));
-  }
-}
-
-TEST(LatticeTest, InfeasibleWhenKExceedsDuplication) {
-  // 3 distinct records, k = 4, even "*" on the single QI cannot merge
-  // fewer-than-k rows... it can (suppression merges all). So use k > n.
-  LatticeFixture s(4, 3);
-  LatticeOptions opts;
-  opts.k = 4;
-  opts.qi_attrs = s.qi;
-  auto result = OptimalFullDomainAnonymize(s.data, s.hierarchies, opts);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInfeasible);
-}
-
-TEST(LatticeTest, RejectsBadArguments) {
-  LatticeFixture s(5, 50);
-  LatticeOptions opts;
-  opts.k = 5;
-  opts.qi_attrs = {};
-  EXPECT_FALSE(OptimalFullDomainAnonymize(s.data, s.hierarchies, opts).ok());
-  opts.qi_attrs = {99};
-  EXPECT_FALSE(OptimalFullDomainAnonymize(s.data, s.hierarchies, opts).ok());
-}
-
 TEST(MondrianLDiversityTest, EnforcedLeavesAreDiverse) {
-  LatticeFixture s(6, 400);
+  MondrianFixture s(6, 400);
   MondrianOptions opts;
   opts.k = 4;
   opts.qi_attrs = {0, 1, 2, 3};
@@ -138,7 +39,7 @@ TEST(MondrianLDiversityTest, EnforcedLeavesAreDiverse) {
 }
 
 TEST(MondrianLDiversityTest, EnforcementCoarsensThePartition) {
-  LatticeFixture s(7, 400);
+  MondrianFixture s(7, 400);
   MondrianOptions plain;
   plain.k = 4;
   plain.qi_attrs = {0, 1, 2, 3};

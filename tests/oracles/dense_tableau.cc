@@ -4,9 +4,7 @@
 // variables are shifted to x' >= 0, upper bounds become rows, and a
 // two-phase tableau simplex (Dantzig pricing with a Bland's-rule fallback
 // after degenerate streaks) runs to optimality within
-// LpSolveOptions::max_pivots. Warm starts are not supported — the
-// tableau has no reusable factorization — so the basis options are
-// ignored.
+// LpSolveOptions::max_pivots.
 
 #include <cmath>
 #include <string>
@@ -151,7 +149,6 @@ Status PivotBudgetExhausted(size_t pivots, size_t max_pivots) {
 
 Result<LpSolution> SolveDenseTableau(const LpInstance& model,
                                      const LpSolveOptions& options) {
-  // No factorization to reuse: the basis options are ignored.
   lp_internal::SolveScope scope;
   if (scope.span.active()) {
     scope.span.Arg("vars", std::to_string(model.variables.size()));

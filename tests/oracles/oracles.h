@@ -22,8 +22,6 @@ namespace pso::oracles {
 /// SolveRevisedSimplex: `model` must be well-formed; kInfeasible,
 /// kUnbounded and kResourceExhausted (more than options.max_pivots
 /// pivots, all of them counted in lp.pivots) mean what they mean there.
-/// The tableau has no factorization to reuse, so warm-start options are
-/// ignored and no final basis is written.
 [[nodiscard]] Result<LpSolution> SolveDenseTableau(
     const LpInstance& model, const LpSolveOptions& options);
 

@@ -1,12 +1,10 @@
 // Targeted tests for the revised simplex, the LP engine: anti-cycling on
 // classic degenerate instances, the bound perturbation and clean-up that
 // answer a degenerate stall, the pivot budget, the ratio test's near-tie
-// rule, eta-file refactorization on long solves, warm starts (identical
-// instance and after appending constraints), recovery from singular /
-// mis-shaped warm bases, and the degenerate
-// shapes (empty, 1x1, all-slack) that never show up in the random
-// differential suites. The dense-tableau oracle (tests/oracles/) serves
-// as the reference throughout.
+// rule, eta-file refactorization on long solves, and the degenerate
+// shapes (empty, 1x1, all-slack, duplicate columns) that never show up in
+// the random differential suites. The dense-tableau oracle
+// (tests/oracles/) serves as the reference throughout.
 
 #include <gtest/gtest.h>
 
@@ -203,99 +201,25 @@ TEST(RevisedSimplexTest, LongSolveCrossesRefactorizationInterval) {
   // At least one periodic refactorization beyond the initial one.
   EXPECT_GE(CounterValue("lp.refactorizations") - refactors_before, 2u);
 
-  Result<LpSolution> dense = oracles::SolveDenseTableau(lp.instance(), {});
-  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
-  EXPECT_NEAR(sparse->objective, dense->objective, 1e-7);
-}
-
-TEST(RevisedSimplexTest, WarmRestartOfSolvedInstanceTakesNoPivots) {
-  LpProblem lp = L1FitLp(/*n=*/8, /*q=*/24, /*seed=*/5);
-  LpBasis basis;
-  LpSolveOptions first;
-  first.final_basis = &basis;
-  Result<LpSolution> cold = lp.Solve(first);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  ASSERT_FALSE(basis.empty());
-
-  const uint64_t warms_before = CounterValue("lp.warm_starts");
-  LpSolveOptions second;
-  second.warm_start = &basis;
-  Result<LpSolution> warm = lp.Solve(second);
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  EXPECT_EQ(CounterValue("lp.warm_starts") - warms_before, 1u);
-  // The optimal basis re-prices as optimal: zero pivots, same vertex (the
-  // fresh factorization may clean sub-tolerance residue off the cold
-  // path's basic values, so "same point" is up to tolerance here; exact
-  // replay determinism is warm-vs-warm, below).
-  EXPECT_EQ(warm->iterations, 0u);
-  EXPECT_EQ(warm->objective, cold->objective);
-  ASSERT_EQ(warm->values.size(), cold->values.size());
-  for (size_t i = 0; i < warm->values.size(); ++i) {
-    EXPECT_NEAR(warm->values[i], cold->values[i], 1e-9) << "value " << i;
+  // The oracle agrees on this solve and on two smaller ones: an 8 x 24 L1
+  // fit and an LP with two identical columns (optimum -5).
+  LpProblem small_fit = L1FitLp(/*n=*/8, /*q=*/24, /*seed=*/43);
+  LpProblem twin_columns;
+  size_t a = twin_columns.AddVariable(0.0, 10.0, -1.0);
+  size_t b = twin_columns.AddVariable(0.0, 10.0, -1.0);
+  twin_columns.AddConstraint({{a, 1.0}, {b, 1.0}}, Relation::kLessEq, 5.0);
+  twin_columns.AddConstraint({{a, 1.0}, {b, 1.0}}, Relation::kLessEq, 7.0);
+  for (const LpProblem* problem : {&lp, &small_fit, &twin_columns}) {
+    Result<LpSolution> got = problem->Solve();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    Result<LpSolution> dense =
+        oracles::SolveDenseTableau(problem->instance(), {});
+    ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+    EXPECT_NEAR(got->objective, dense->objective, 1e-7);
+    if (problem == &twin_columns) {
+      EXPECT_NEAR(got->objective, -5.0, 1e-9);
+    }
   }
-
-  Result<LpSolution> warm2 = lp.Solve(second);
-  ASSERT_TRUE(warm2.ok()) << warm2.status().ToString();
-  EXPECT_EQ(warm2->iterations, warm->iterations);
-  EXPECT_EQ(warm2->values, warm->values);  // bit-identical replay
-}
-
-TEST(RevisedSimplexTest, WarmStartAfterConstraintAppend) {
-  const size_t n = 8;
-  auto build = [&](size_t q) { return L1FitLp(n, q, /*seed=*/43); };
-  LpBasis basis;
-  LpSolveOptions first;
-  first.final_basis = &basis;
-  LpProblem base = build(20);
-  Result<LpSolution> base_solve = base.Solve(first);
-  ASSERT_TRUE(base_solve.ok()) << base_solve.status().ToString();
-
-  // Same instance grown by four more rows (and their u/v columns): the
-  // smaller basis must pad (new rows basic on their logical, new columns
-  // at lower bound) and still reach the optimum.
-  LpProblem grown = build(24);
-  LpSolveOptions warm;
-  warm.warm_start = &basis;
-  Result<LpSolution> warm_solve = grown.Solve(warm);
-  ASSERT_TRUE(warm_solve.ok()) << warm_solve.status().ToString();
-  Result<LpSolution> oracle = oracles::SolveDenseTableau(grown.instance(), {});
-  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-  EXPECT_NEAR(warm_solve->objective, oracle->objective, 1e-7);
-}
-
-TEST(RevisedSimplexTest, SingularWarmBasisFallsBackToColdStart) {
-  // Two identical columns: marking both basic makes the warm basis
-  // numerically singular, which the engine must detect and repair (or
-  // cold-start) rather than produce garbage.
-  LpProblem lp;
-  size_t a = lp.AddVariable(0.0, 10.0, -1.0);
-  size_t b = lp.AddVariable(0.0, 10.0, -1.0);
-  lp.AddConstraint({{a, 1.0}, {b, 1.0}}, Relation::kLessEq, 5.0);
-  lp.AddConstraint({{a, 1.0}, {b, 1.0}}, Relation::kLessEq, 7.0);
-
-  LpBasis singular;
-  singular.structurals = {LpVarStatus::kBasic, LpVarStatus::kBasic};
-  singular.logicals = {LpVarStatus::kAtLower, LpVarStatus::kAtLower};
-  LpSolveOptions options;
-  options.warm_start = &singular;
-  Result<LpSolution> got = lp.Solve(options);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_NEAR(got->objective, -5.0, 1e-9);
-}
-
-TEST(RevisedSimplexTest, MisshapedWarmBasisIsIgnored) {
-  LpProblem lp;
-  size_t x = lp.AddVariable(0.0, 1.0, -1.0);
-  lp.AddConstraint({{x, 1.0}}, Relation::kLessEq, 0.5);
-
-  LpBasis wrong;  // basic count != row count: unusable as a basis
-  wrong.structurals = {LpVarStatus::kBasic};
-  wrong.logicals = {LpVarStatus::kBasic};
-  LpSolveOptions options;
-  options.warm_start = &wrong;
-  Result<LpSolution> got = lp.Solve(options);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_NEAR(got->objective, -0.5, 1e-9);
 }
 
 TEST(RevisedSimplexTest, EmptyProblemSolvesToZero) {

@@ -65,6 +65,7 @@
 #include <atomic>
 #include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -381,14 +382,24 @@ int RunLinkage(const Flags& flags) {
 }
 
 int RunRecon(const Flags& flags) {
+  const std::string decoder = flags.GetString("decoder", "lsq");
+  const double alpha = flags.GetDouble("alpha", 2.0);
+  // ExhaustiveReconstruct scans all 2^n candidates and requires n <= 24.
+  const int64_t max_n = decoder == "exhaustive" ? 24 : INT64_MAX;
+  if (flags.GetInt("n", 64) < 1 || flags.GetInt("n", 64) > max_n ||
+      flags.GetInt("queries", 320) < 1 || !std::isfinite(alpha) ||
+      alpha < 0.0) {
+    std::fprintf(stderr,
+                 "invalid flags: need --n >= 1 (<= 24 with --decoder "
+                 "exhaustive), --queries >= 1, finite --alpha >= 0\n");
+    return 2;
+  }
   const size_t n = static_cast<size_t>(flags.GetInt("n", 64));
   const size_t queries = static_cast<size_t>(flags.GetInt("queries", 320));
-  const double alpha = flags.GetDouble("alpha", 2.0);
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
   auto secret = recon::RandomBits(n, rng);
   recon::BoundedNoiseOracle oracle(secret, alpha, 17);
 
-  std::string decoder = flags.GetString("decoder", "lsq");
   recon::Reconstruction result;
   if (decoder == "lp") {
     auto r = recon::LpReconstruct(oracle, queries, rng);
