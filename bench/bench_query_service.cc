@@ -32,9 +32,8 @@ namespace pso {
 namespace {
 
 // 24 clients x 10 queries = 240 recorded queries = 5n at n = 48 — the
-// same m/n ratio E2 (bench_recon_lp) pins for exact LP decoding; much
-// past that the decode LP (one residual column + two rows per query)
-// outgrows the simplex iteration budget.
+// same m/n ratio E2 (bench_recon_lp) pins for LP decoding, whose LP has
+// one row per secret bit and one column per answered query.
 constexpr size_t kN = 48;
 constexpr size_t kClients = 24;
 constexpr size_t kQueriesPerClient = 10;

@@ -4,13 +4,13 @@
 // crossover from near-perfect to failed reconstruction sits at
 // alpha/sqrt(n) of order 1.
 //
-// Every decode LP is solved cold by the revised simplex. Exact answers
-// (c = 0) are the attacker's easiest case and the decode LP's most
-// degenerate one: the c = 0 grid points and one exact decode at n = 192
-// must reconstruct perfectly within kExactPivotsPerRow pivots per query
-// row. The series' trial-0 decodes cover the whole grid once, and an
-// absolute lp.pivot_work bound on their deterministic count is the
-// engine's performance contract.
+// Every decode solves the L1 fit's n-row dual cold with the revised
+// simplex. Exact answers (c = 0) are the attacker's easiest case and the
+// L1 fit's most degenerate one: the c = 0 grid points and one exact
+// decode at n = 192 must reconstruct perfectly within kExactPivotsPerRow
+// pivots per query. The series' trial-0 decodes cover the whole grid
+// once, and an absolute lp.pivot_work bound on their deterministic count
+// is the engine's performance contract.
 
 #include <algorithm>
 #include <cmath>
@@ -59,14 +59,14 @@ DecodePoint LpDecodeAt(size_t n, double c, size_t trial) {
   return decode(oracle);
 }
 
-// Pivot bound of an exact-answer decode, per query row.
+// Pivot bound of an exact-answer decode, per query.
 constexpr double kExactPivotsPerRow = 8.0;
 
 // Upper bound on lp.pivot_work over the grid's trial-0 decodes. The
-// count is deterministic (277,603,527 when last measured); the headroom
-// admits engine tuning that moves it a little, not a return to grinding
-// the exact decodes' degenerate vertices with Bland's rule (~24x more
-// work).
+// count is deterministic: 44,619,328 when last measured, and 277,603,527
+// when the decoder still solved the 5n-row primal fit. The bound admits
+// the primal, not a return to grinding the exact decodes' degenerate
+// vertices with Bland's rule (~24x the primal's work).
 constexpr uint64_t kReplayPivotWorkBound = 300000000;
 
 int Run(int argc, char** argv) {

@@ -11,17 +11,18 @@
 // Two sizes are solved. Tiny instances (at most 12 variables and 24
 // rows) are compared whatever their numbers, on the default pivot
 // budget. Decode-sized instances (at most 160 variables and 64 rows)
-// admit the corpus's exact-answer L1 decode LP (exact_l1_perturbed.bin:
-// n = 9, 64 queries), whose degenerate optimum drives the revised
-// simplex through its bound perturbation and unperturbed clean-up. They
-// are compared only while every number is a small integer, as in a
-// subset-sum decode: both engines use absolute pivot and feasibility
-// tolerances and no scaling, and a single mutated coefficient such as
-// 1.0000076 leaves a basis so ill-conditioned (pivots near 1e-7, FTRAN
-// entries near 1e11) that either engine can miss the optimum. They run
-// on a 20,000-pivot budget, and an oracle that exhausts it gives no
-// verdict to compare: the dense tableau grinds through degenerate
-// vertices with Bland's rule.
+// admit both corpus forms of one exact-answer transcript (n = 9, 64
+// queries): the primal L1 fit (exact_l1_perturbed.bin), whose degenerate
+// optimum drives the revised simplex through its bound perturbation and
+// unperturbed clean-up, and its 9-row dual (exact_l1_dual.bin), the LP
+// the decoder solves. They are compared only while every number is a
+// small integer, as in a subset-sum decode: both engines use absolute
+// pivot and feasibility tolerances and no scaling, and a single mutated
+// coefficient such as 1.0000076 leaves a basis so ill-conditioned
+// (pivots near 1e-7, FTRAN entries near 1e11) that either engine can
+// miss the optimum. They run on a 20,000-pivot budget, and an oracle
+// that exhausts it gives no verdict to compare: the dense tableau grinds
+// through degenerate vertices with Bland's rule.
 
 #include <cmath>
 #include <cstdint>

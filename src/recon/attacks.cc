@@ -166,33 +166,36 @@ Result<Reconstruction> LpDecodeRecorded(size_t n,
     decode_span.Arg("queries", std::to_string(num_queries));
   }
 
+  // The LP dual of the L1 fit min ||Qx - a||_1 over x in [0,1]^n:
+  //   minimize -a^T y + 1^T s  subject to  Q^T y - s <= 0,
+  //   -1 <= y <= 1,  s >= 0,
+  // one y per query and one row and one s per coordinate. Its optimum is
+  // minus the fit's, and x is the rows' duals negated. The all-logical
+  // start (y = -1, s = 0) is feasible because Q >= 0: no phase 1.
   LpProblem lp;
-  // Residual-splitting L1 fit: minimize sum_j (u_j + v_j) subject to
-  //   <q_j, x> + u_j - v_j = a_j,  x in [0,1]^n,  u, v >= 0.
-  // u_j / v_j are row-singleton columns, so the simplex crash basis makes
-  // every row basic immediately (no artificials, no phase 1).
-  std::vector<size_t> x_vars(n);
-  for (size_t i = 0; i < n; ++i) x_vars[i] = lp.AddVariable(0.0, 1.0, 0.0);
+  std::vector<std::vector<std::pair<size_t, double>>> rows(n);
   for (size_t j = 0; j < num_queries; ++j) {
-    size_t u = lp.AddVariable(0.0, LpProblem::kInfinity, 1.0);
-    size_t v = lp.AddVariable(0.0, LpProblem::kInfinity, 1.0);
-    std::vector<std::pair<size_t, double>> row;
+    const size_t y = lp.AddVariable(-1.0, 1.0, -answers[j]);
     for (size_t i = 0; i < n; ++i) {
-      if (queries[j][i] != 0) row.emplace_back(x_vars[i], 1.0);
+      if (queries[j][i] != 0) rows[i].emplace_back(y, 1.0);
     }
-    row.emplace_back(u, 1.0);
-    row.emplace_back(v, -1.0);
-    lp.AddConstraint(row, Relation::kEqual, answers[j]);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    rows[i].emplace_back(lp.AddVariable(0.0, LpProblem::kInfinity, 1.0), -1.0);
+    lp.AddConstraint(rows[i], Relation::kLessEq, 0.0);
   }
 
   Result<LpSolution> solved = lp.Solve();
   if (!solved.ok()) return solved.status();
 
   Reconstruction out;
-  std::vector<double> x(solved->values.begin(), solved->values.begin() + n);
+  std::vector<double> x(n);
+  for (size_t i = 0; i < n; ++i) {
+    x[i] = std::clamp(-solved->row_duals[i], 0.0, 1.0);
+  }
   out.estimate = RoundAtHalf(x);
   out.queries_used = num_queries;
-  out.decoder_residual = solved->objective;
+  out.decoder_residual = std::max(0.0, -solved->objective);  // An L1 norm.
   return out;
 }
 

@@ -6,7 +6,9 @@
 //   secret on all but O(alpha) entries.
 // * LpReconstruct — Theorem 1.1(ii) via LP decoding (Dwork–McSherry–
 //   Talwar): polynomially many random subset queries, minimize the total
-//   L1 violation over the fractional hypercube, round.
+//   L1 violation over the fractional hypercube, round. The fit is solved
+//   as its LP dual, which has one row per secret bit instead of one per
+//   query; the fit's x is that dual's row-dual vector.
 // * LeastSquaresReconstruct — projected-gradient least-squares decoder;
 //   same regime as LP decoding but scales to larger n on this substrate.
 
@@ -43,9 +45,11 @@ Reconstruction ExhaustiveReconstruct(SubsetSumOracle& oracle, double alpha,
                                      ThreadPool* pool = nullptr);
 
 /// Theorem 1.1(ii) by LP decoding. Issues `num_queries` uniformly random
-/// subset queries (each index included w.p. 1/2), solves
-///   min sum_j t_j  s.t.  |<q_j, x> - a_j| <= t_j,  x in [0,1]^n
-/// with the simplex solver, and rounds x at 1/2.
+/// subset queries (each index included w.p. 1/2), minimizes ||Qx - a||_1
+/// over x in [0,1]^n through the fit's LP dual (n rows, m + n columns)
+///   min -a^T y + 1^T s  s.t.  Q^T y - s <= 0,  -1 <= y <= 1,  s >= 0,
+/// takes x as minus its row duals clamped to [0, 1], and rounds x at 1/2.
+/// decoder_residual is the fit's optimum: minus the dual's objective.
 [[nodiscard]] Result<Reconstruction> LpReconstruct(SubsetSumOracle& oracle,
                                      size_t num_queries, Rng& rng);
 
@@ -60,9 +64,9 @@ Reconstruction LeastSquaresReconstruct(SubsetSumOracle& oracle,
 /// Instead of querying an oracle in-process, the caller supplies the
 /// (query, answer) pairs it observed from a live service (the Cohen–
 /// Nissim "Linear Program Reconstruction in Practice" loop) and the same
-/// residual-splitting L1 program is solved over them. `queries[j]` must
-/// all be indicator vectors of length `n`; `answers[j]` is the value the
-/// service released for query j. A transcript breaking that shape (or
+/// L1 fit is solved over them. `queries[j]` must all be indicator vectors
+/// of length `n`; `answers[j]` is the value the service released for
+/// query j. A transcript breaking that shape (or
 /// with answers.size() != queries.size()) is InvalidArgument.
 [[nodiscard]] Result<Reconstruction> LpDecodeRecorded(
     size_t n, const std::vector<SubsetQuery>& queries,

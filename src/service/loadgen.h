@@ -13,9 +13,11 @@
 // The recorded transcript then feeds the existing LP / least-squares
 // decoders AS A CLIENT (recon::LpDecodeRecorded): DecodeTranscript keeps
 // only the answered entries (over-budget rejections carry no signal) and
-// reconstructs the secret from what the service actually released. With
-// exact answers the reconstruction is perfect; under per-query DP noise
-// it measurably degrades — the paper's trade-off, end to end.
+// reconstructs the secret from what the service actually released. The
+// LP decoder solves the L1 fit through its dual, with one row per secret
+// bit and one column per answered query. With exact answers the
+// reconstruction is perfect; under per-query DP noise it measurably
+// degrades — the paper's trade-off, end to end.
 
 #ifndef PSO_SERVICE_LOADGEN_H_
 #define PSO_SERVICE_LOADGEN_H_
@@ -123,7 +125,7 @@ struct Transcript {
 
 /// Which recorded-transcript decoder DecodeTranscript runs.
 enum class Decoder {
-  kLp,            ///< Residual-splitting L1 fit (LpDecodeRecorded).
+  kLp,            ///< L1 fit through its dual LP (LpDecodeRecorded).
   kLeastSquares,  ///< Projected-gradient (LeastSquaresDecodeRecorded).
 };
 

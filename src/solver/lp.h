@@ -32,6 +32,11 @@ struct LpSolution {
   std::vector<double> values;  ///< Optimal variable assignment.
   double objective = 0.0;      ///< Optimal objective value.
   size_t iterations = 0;       ///< Simplex pivots performed.
+  /// One dual per constraint, y = B^-T c_B at the optimal basis: the
+  /// objective's rate of change per unit of that row's rhs. This is a
+  /// minimizer, so a kLessEq row's dual is <= 0 and a kGreaterEq row's
+  /// is >= 0.
+  std::vector<double> row_duals;
 };
 
 /// A plain-data LP instance: the unit the solver consumes and the lp_io

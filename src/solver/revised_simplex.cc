@@ -710,6 +710,10 @@ class SimplexState {
     for (size_t j = 0; j < n_; ++j) obj += cost_[j] * sol.values[j];
     sol.objective = obj;
     sol.iterations = iterations_;
+    // One BTRAN at the final (unperturbed) basis: y = B^-T c_B.
+    sol.row_duals.resize(m_);
+    for (size_t i = 0; i < m_; ++i) sol.row_duals[i] = cost_[basic_[i]];
+    ApplyEtasTranspose(sol.row_duals);
     return sol;
   }
 

@@ -32,7 +32,7 @@
 //   - A pivot budget (LpSolveOptions::max_pivots) bounds the work; an
 //     overrun is kResourceExhausted with every pivot counted.
 //   - Every solve starts cold, from the all-logical basis plus a
-//     singleton crash; an L1-fit decode LP crashes to a feasible basis.
+//     singleton crash. On exit, one BTRAN yields the row duals.
 
 #ifndef PSO_SOLVER_REVISED_SIMPLEX_H_
 #define PSO_SOLVER_REVISED_SIMPLEX_H_

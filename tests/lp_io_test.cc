@@ -67,10 +67,10 @@ std::string FetchFixture(const std::string& name) {
                      std::istreambuf_iterator<char>());
 }
 
-// The pinned worst case: the decode LP of
+// The pinned worst case: the primal L1 fit (oracles::L1FitPrimal) of
 //   psoctl recon --decoder lp --n 64 --queries 320 --alpha 0 --seed 1
-// (the model LpDecodeRecorded builds from that run's secret and queries),
-// saved with EncodeLpInstance. Exact answers put the optimum on a
+// built from that run's secret and queries and saved with
+// EncodeLpInstance. The decoder itself solves this fit's n-row dual. Exact answers put the optimum on a
 // massively degenerate vertex, where Bland's rule alone needed over a
 // hundred thousand pivots; the solve must stay within 8 pivots per row.
 TEST(LpIoFixtureTest, PinnedExactDecodeSolvesWithinEightPivotsPerRow) {

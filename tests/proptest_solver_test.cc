@@ -9,7 +9,10 @@
 //   * CDCL and its DPLL oracle vs exhaustive truth-table search, and vs
 //     each other (status must agree exactly);
 //   * count-CSP vs a SAT cross-encoding of the same instance solved by
-//     each of the two (and vs direct multiset enumeration).
+//     each of the two (and vs direct multiset enumeration);
+//   * the LP decoder, which solves the L1 fit's dual, vs the primal fit
+//     (oracles::L1FitPrimal): same optimum, and exact transcripts decode
+//     to the secret.
 //
 // All cases derive from pinned Rng::StreamAt seeds; see proptest.h.
 
@@ -26,6 +29,8 @@
 #include "common/str_util.h"
 #include "oracles/oracles.h"
 #include "proptest.h"
+#include "recon/attacks.h"
+#include "recon/oracle.h"
 #include "solver/csp.h"
 #include "solver/lp.h"
 #include "solver/lp_io.h"
@@ -404,6 +409,72 @@ TEST(LpDifferentialTest, PerturbedExactL1DecodesMatchOracles) {
       }));
   // The family exists to drive the perturbation path.
   EXPECT_GE(perturbed, 2 * cfg.iterations / 3);
+}
+
+// ---------------------------------------------------------------------
+// The LP decoder (the L1 fit's n-row dual) vs the primal L1 fit.
+// ---------------------------------------------------------------------
+
+// A subset-sum transcript: n in [4, 48] at full scale, m = 5n random
+// queries answered with uniform noise in [-c*sqrt(n), c*sqrt(n)],
+// c in {0, 0.25, 1}.
+struct TranscriptCase {
+  size_t n = 0;
+  double c = 0.0;
+  std::vector<uint8_t> secret;
+  std::vector<std::vector<uint8_t>> queries;
+  std::vector<double> answers;
+};
+
+TranscriptCase GenTranscript(Rng& rng, size_t scale) {
+  TranscriptCase t;
+  t.n = 4 + static_cast<size_t>(rng.UniformUint64(1 + 44 * scale / 8));
+  constexpr double kCs[] = {0.0, 0.25, 1.0};
+  t.c = kCs[rng.UniformUint64(3)];
+  const double alpha = t.c * std::sqrt(static_cast<double>(t.n));
+  t.secret = recon::RandomBits(t.n, rng);
+  for (size_t j = 0; j < 5 * t.n; ++j) {
+    std::vector<uint8_t> q(t.n);
+    double sum = 0.0;
+    for (size_t i = 0; i < t.n; ++i) {
+      q[i] = rng.Bernoulli(0.5) ? 1 : 0;
+      sum += q[i] * t.secret[i];
+    }
+    t.queries.push_back(std::move(q));
+    t.answers.push_back(sum + alpha * (2.0 * rng.UniformDouble() - 1.0));
+  }
+  return t;
+}
+
+TEST(LpDecodeDifferentialTest, DualDecodeMatchesPrimalL1Fit) {
+  proptest::Config cfg{/*master_seed=*/0xd0a1d0a1, /*iterations=*/30,
+                       /*max_scale=*/8, /*min_scale=*/1};
+  EXPECT_TRUE(proptest::ForAll<TranscriptCase>(
+      cfg, GenTranscript, [](const TranscriptCase& t) -> std::string {
+        Result<LpSolution> primal =
+            oracles::L1FitPrimal(t.n, t.queries, t.answers).Solve();
+        Result<recon::Reconstruction> decoded =
+            recon::LpDecodeRecorded(t.n, t.queries, t.answers);
+        if (!primal.ok() || !decoded.ok()) {
+          return StrFormat("solve failed: primal %s, decoder %s (n=%zu c=%g)",
+                           primal.status().ToString().c_str(),
+                           decoded.status().ToString().c_str(), t.n, t.c);
+        }
+        const double obj = primal->objective;
+        if (std::fabs(decoded->decoder_residual - obj) >
+            1e-6 * std::max(1.0, std::fabs(obj))) {
+          return StrFormat("decoder residual %.12g != primal objective "
+                           "%.12g (n=%zu c=%g)",
+                           decoded->decoder_residual, obj, t.n, t.c);
+        }
+        if (t.c == 0.0 && decoded->estimate != t.secret) {
+          return StrFormat("exact transcript did not decode to the secret "
+                           "(n=%zu, accuracy %.3f)",
+                           t.n, recon::FractionAgree(decoded->estimate,
+                                                      t.secret));
+        }
+        return "";
+      }));
 }
 
 // ---------------------------------------------------------------------

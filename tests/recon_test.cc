@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "oracles/oracles.h"
 #include "recon/attacks.h"
 #include "recon/oracle.h"
 
@@ -147,9 +148,11 @@ TEST(LpReconstructTest, ExactAnswersDecodeWithinEightPivotsPerRow) {
   }
 }
 
-// Only the degenerate (exact-answer) decode perturbs; the noisy decode
-// keeps the plain Dantzig path. Either way the phase-1 and phase-2
-// pivot counters add up to lp.pivots.
+// On the primal L1 fit of the same transcripts, only the degenerate
+// (exact-answer) fit perturbs; the noisy one keeps the plain Dantzig
+// path. Either way the phase-1 and phase-2 pivot counters add up to
+// lp.pivots. The decoder solves the fit's dual from a feasible start, so
+// it never pivots in phase 1.
 TEST(LpReconstructTest, OnlyExactDecodesPerturbAndPhasesAddUp) {
   const size_t n = 32;
   for (double c : {0.0, 0.25}) {
@@ -157,18 +160,33 @@ TEST(LpReconstructTest, OnlyExactDecodesPerturbAndPhasesAddUp) {
     auto secret = RandomBits(n, rng);
     const double alpha = c * std::sqrt(static_cast<double>(n));
     BoundedNoiseOracle oracle(secret, alpha, /*seed=*/5);
+    // The transcript LpReconstruct would draw from this stream.
+    std::vector<SubsetQuery> queries(5 * n, SubsetQuery(n));
+    std::vector<double> answers;
+    for (SubsetQuery& q : queries) {
+      for (auto& bit : q) bit = rng.Bernoulli(0.5) ? 1 : 0;
+      answers.push_back(oracle.Answer(q));
+    }
+
     const uint64_t perturbations = CounterValue("lp.perturbations");
     const uint64_t pivots = CounterValue("lp.pivots");
     const uint64_t phase1 = CounterValue("lp.phase1_iterations");
     const uint64_t phase2 = CounterValue("lp.phase2_iterations");
-    auto r = LpReconstruct(oracle, 5 * n, rng);
-    ASSERT_TRUE(r.ok()) << "c=" << c << ": " << r.status().ToString();
+    auto primal = oracles::L1FitPrimal(n, queries, answers).Solve();
+    ASSERT_TRUE(primal.ok())
+        << "c=" << c << ": " << primal.status().ToString();
     EXPECT_EQ(CounterValue("lp.perturbations") - perturbations,
               c == 0.0 ? 1u : 0u)
         << "c=" << c;
     EXPECT_EQ(CounterValue("lp.phase1_iterations") - phase1 +
                   CounterValue("lp.phase2_iterations") - phase2,
               CounterValue("lp.pivots") - pivots)
+        << "c=" << c;
+
+    const uint64_t decode_phase1 = CounterValue("lp.phase1_iterations");
+    auto r = LpDecodeRecorded(n, queries, answers);
+    ASSERT_TRUE(r.ok()) << "c=" << c << ": " << r.status().ToString();
+    EXPECT_EQ(CounterValue("lp.phase1_iterations") - decode_phase1, 0u)
         << "c=" << c;
   }
 }

@@ -188,16 +188,16 @@ std::vector<FlagSpec> CommandFlags(const std::string& command) {
 
 int RunGame(const Flags& flags) {
   Universe u = MakeGicMedicalUniverse();
+  const double eps = flags.GetDouble("eps", 1.0);
   if (flags.GetInt("n", 400) < 2 || flags.GetInt("trials", 100) < 1 ||
-      flags.GetInt("k", 5) < 1 || flags.GetDouble("eps", 1.0) <= 0.0) {
+      flags.GetInt("k", 5) < 1 || !std::isfinite(eps) || eps <= 0.0) {
     std::fprintf(stderr,
                  "invalid flags: need --n >= 2, --trials >= 1, --k >= 1, "
-                 "--eps > 0\n");
+                 "finite --eps > 0\n");
     return 2;
   }
   const size_t n = static_cast<size_t>(flags.GetInt("n", 400));
   const size_t k = static_cast<size_t>(flags.GetInt("k", 5));
-  const double eps = flags.GetDouble("eps", 1.0);
   auto q = MakeAttributeEquals(3, 0, "sex");
 
   std::string mech_name = flags.GetString("mechanism", "mondrian");
@@ -426,6 +426,12 @@ int RunRecon(const Flags& flags) {
 
 int RunAudit(const Flags& flags) {
   const double eps = flags.GetDouble("eps", 1.0);
+  if (flags.GetInt("trials", 300000) < 1 || !std::isfinite(eps) ||
+      eps <= 0.0) {
+    std::fprintf(stderr,
+                 "invalid flags: need --trials >= 1, finite --eps > 0\n");
+    return 2;
+  }
   const size_t trials = static_cast<size_t>(flags.GetInt("trials", 300000));
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
   dp::BucketizedMechanism mech = [eps](int which, Rng& r) {
@@ -443,13 +449,21 @@ int RunAudit(const Flags& flags) {
 }
 
 int RunMembership(const Flags& flags) {
+  const double eps = flags.GetDouble("eps", 0.0);
+  if (flags.GetInt("attrs", 300) < 1 || flags.GetInt("pool", 50) < 2 ||
+      flags.GetInt("trials", 200) < 1 || !std::isfinite(eps) || eps < 0.0) {
+    std::fprintf(stderr,
+                 "invalid flags: need --attrs >= 1, --pool >= 2, "
+                 "--trials >= 1, finite --eps >= 0\n");
+    return 2;
+  }
   Universe u = MakeGenotypeUniverse(flags.GetInt("attrs", 300),
                                     /*freq_seed=*/0x6e0);
   auto workers = MakePool(flags);
   membership::MembershipOptions opts;
   opts.pool_size = static_cast<size_t>(flags.GetInt("pool", 50));
   opts.trials = static_cast<size_t>(flags.GetInt("trials", 200));
-  opts.eps = flags.GetDouble("eps", 0.0);
+  opts.eps = eps;
   opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   opts.pool = workers.get();
   membership::MembershipResult r =

@@ -25,6 +25,14 @@ BAD_FLAGS = [
     ["recon", "--decoder", "exhaustive", "--n", "25"],
     ["serve", "--n", "0"],
     ["serve", "--eps", "nan"],
+    ["audit", "--eps", "nan"],
+    ["audit", "--eps", "0"],
+    ["audit", "--trials", "0"],
+    ["membership", "--attrs", "0"],
+    ["membership", "--pool", "0"],
+    ["membership", "--trials", "0"],
+    ["membership", "--eps", "nan"],
+    ["game", "--eps", "nan"],
 ]
 
 
