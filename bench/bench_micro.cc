@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -73,32 +74,22 @@ void BM_LpDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_LpDecode)->Arg(24)->Arg(48);
 
-// Decoder-shaped L1-fit LP (n box variables, 5n equality rows with u/v
-// residual splits) built once and solved per iteration.
-LpProblem BuildL1FitLp(size_t n, uint64_t seed) {
-  const size_t q = 5 * n;
-  Rng rng(seed);
-  LpProblem lp;
-  std::vector<size_t> x(n);
-  for (size_t i = 0; i < n; ++i) x[i] = lp.AddVariable(0.0, 1.0, 0.0);
-  for (size_t j = 0; j < q; ++j) {
-    size_t u = lp.AddVariable(0.0, LpProblem::kInfinity, 1.0);
-    size_t v = lp.AddVariable(0.0, LpProblem::kInfinity, 1.0);
-    std::vector<std::pair<size_t, double>> row;
-    for (size_t i = 0; i < n; ++i) {
-      if (rng.Bernoulli(0.5)) row.emplace_back(x[i], 1.0);
-    }
-    row.emplace_back(u, 1.0);
-    row.emplace_back(v, -1.0);
-    lp.AddConstraint(row, Relation::kEqual,
-                     static_cast<double>(rng.UniformInt(0, (int64_t)n / 2)));
-  }
-  return lp;
-}
-
-// The same LP solved cold.
+// The decoder's LP (recon::LpDecodeProblem, the L1 fit's n-row dual) for
+// 5n random queries answered within sqrt(n), built once and solved per
+// iteration.
 void BM_LpSolveCold(benchmark::State& state) {
-  LpProblem lp = BuildL1FitLp(static_cast<size_t>(state.range(0)), 6);
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(6);
+  recon::BoundedNoiseOracle oracle(recon::RandomBits(n, rng),
+                                   std::sqrt(static_cast<double>(n)),
+                                   /*seed=*/7);
+  std::vector<recon::SubsetQuery> queries(5 * n, recon::SubsetQuery(n));
+  std::vector<double> answers;
+  for (recon::SubsetQuery& q : queries) {
+    for (auto& bit : q) bit = rng.Bernoulli(0.5) ? 1 : 0;
+    answers.push_back(oracle.Answer(q));
+  }
+  LpProblem lp = recon::LpDecodeProblem(n, queries, answers);
   for (auto _ : state) {
     auto sol = lp.Solve();
     benchmark::DoNotOptimize(sol);

@@ -12,10 +12,9 @@
 // rows) are compared whatever their numbers, on the default pivot
 // budget. Decode-sized instances (at most 160 variables and 64 rows)
 // admit both corpus forms of one exact-answer transcript (n = 9, 64
-// queries): the primal L1 fit (exact_l1_perturbed.bin), whose degenerate
-// optimum drives the revised simplex through its bound perturbation and
-// unperturbed clean-up, and its 9-row dual (exact_l1_dual.bin), the LP
-// the decoder solves. They are compared only while every number is a
+// queries): the primal L1 fit (exact_l1_primal.bin), whose optimum is a
+// degenerate vertex, and its 9-row dual (exact_l1_dual.bin), the LP the
+// decoder solves. They are compared only while every number is a
 // small integer, as in a subset-sum decode: both engines use absolute
 // pivot and feasibility tolerances and no scaling, and a single mutated
 // coefficient such as 1.0000076 leaves a basis so ill-conditioned

@@ -152,6 +152,29 @@ Result<Reconstruction> LpReconstruct(SubsetSumOracle& oracle,
   return LpDecodeRecorded(oracle.n(), qs.queries, qs.answers);
 }
 
+LpProblem LpDecodeProblem(size_t n, const std::vector<SubsetQuery>& queries,
+                          const std::vector<double>& answers) {
+  // The LP dual of the L1 fit min ||Qx - a||_1 over x in [0,1]^n:
+  //   minimize -a^T y + 1^T s  subject to  Q^T y - s <= 0,
+  //   -1 <= y <= 1,  s >= 0,
+  // one y per query and one row and one s per coordinate. Its optimum is
+  // minus the fit's, and x is the rows' duals negated. The all-logical
+  // start (y = -1, s = 0) is feasible because Q >= 0: no phase 1.
+  LpProblem lp;
+  std::vector<std::vector<std::pair<size_t, double>>> rows(n);
+  for (size_t j = 0; j < queries.size(); ++j) {
+    const size_t y = lp.AddVariable(-1.0, 1.0, -answers[j]);
+    for (size_t i = 0; i < n; ++i) {
+      if (queries[j][i] != 0) rows[i].emplace_back(y, 1.0);
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    rows[i].emplace_back(lp.AddVariable(0.0, LpProblem::kInfinity, 1.0), -1.0);
+    lp.AddConstraint(rows[i], Relation::kLessEq, 0.0);
+  }
+  return lp;
+}
+
 Result<Reconstruction> LpDecodeRecorded(size_t n,
                                         const std::vector<SubsetQuery>& queries,
                                         const std::vector<double>& answers) {
@@ -166,26 +189,7 @@ Result<Reconstruction> LpDecodeRecorded(size_t n,
     decode_span.Arg("queries", std::to_string(num_queries));
   }
 
-  // The LP dual of the L1 fit min ||Qx - a||_1 over x in [0,1]^n:
-  //   minimize -a^T y + 1^T s  subject to  Q^T y - s <= 0,
-  //   -1 <= y <= 1,  s >= 0,
-  // one y per query and one row and one s per coordinate. Its optimum is
-  // minus the fit's, and x is the rows' duals negated. The all-logical
-  // start (y = -1, s = 0) is feasible because Q >= 0: no phase 1.
-  LpProblem lp;
-  std::vector<std::vector<std::pair<size_t, double>>> rows(n);
-  for (size_t j = 0; j < num_queries; ++j) {
-    const size_t y = lp.AddVariable(-1.0, 1.0, -answers[j]);
-    for (size_t i = 0; i < n; ++i) {
-      if (queries[j][i] != 0) rows[i].emplace_back(y, 1.0);
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    rows[i].emplace_back(lp.AddVariable(0.0, LpProblem::kInfinity, 1.0), -1.0);
-    lp.AddConstraint(rows[i], Relation::kLessEq, 0.0);
-  }
-
-  Result<LpSolution> solved = lp.Solve();
+  Result<LpSolution> solved = LpDecodeProblem(n, queries, answers).Solve();
   if (!solved.ok()) return solved.status();
 
   Reconstruction out;

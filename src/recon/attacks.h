@@ -20,6 +20,7 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "recon/oracle.h"
+#include "solver/lp.h"
 
 namespace pso {
 class ThreadPool;
@@ -71,6 +72,11 @@ Reconstruction LeastSquaresReconstruct(SubsetSumOracle& oracle,
 [[nodiscard]] Result<Reconstruction> LpDecodeRecorded(
     size_t n, const std::vector<SubsetQuery>& queries,
     const std::vector<double>& answers);
+
+/// The LP LpDecodeRecorded solves for a well-shaped transcript: the L1
+/// fit's dual (see LpReconstruct), n rows and m + n columns.
+LpProblem LpDecodeProblem(size_t n, const std::vector<SubsetQuery>& queries,
+                          const std::vector<double>& answers);
 
 /// Least-squares decoding over a recorded transcript (see
 /// LpDecodeRecorded, including its InvalidArgument shape checks); scales

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/hash.h"
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/progress.h"
@@ -39,14 +38,6 @@ constexpr double kEps = 1e-9;        // Reduced-cost / ratio tie tolerance.
 constexpr double kPivotTol = 1e-7;   // Minimum acceptable pivot magnitude.
 constexpr double kFeasTol = 1e-7;    // Per-variable bound violation slack.
 constexpr double kInfeasTol = 1e-6;  // Total violation => kInfeasible.
-
-// Bound perturbation: column j's finite bounds move outward by
-// kPerturbScale * (1 + h(j)) * max(1, |bound|), where h(j) in [0, 1) is
-// a fixed hash of j under kPerturbKey. Distinct per-column shifts break
-// the ties that make a vertex degenerate; the key is a constant, so a
-// perturbed solve replays bit for bit.
-constexpr double kPerturbScale = 1e-5;
-constexpr uint64_t kPerturbKey = 0x5eed0f1b0d5ca1e5ULL;
 
 // Heartbeat cadence in simplex steps (pricing rounds). A work-count
 // boundary, never a timer, so heartbeats replay deterministically.
@@ -276,13 +267,6 @@ class SimplexState {
     return status_[j] == LpVarStatus::kAtUpper ? upper_[j] : lower_[j];
   }
 
-  // Parks every nonbasic column on the bound its status names.
-  void SnapNonbasic() {
-    for (size_t j = 0; j < ncols_; ++j) {
-      if (status_[j] != LpVarStatus::kBasic) x_[j] = NonbasicValue(j);
-    }
-  }
-
   // Solves B x_B = b - A_N x_N and installs the basic values.
   void ComputeBasicValues() {
     work_.Clear();
@@ -318,33 +302,17 @@ class SimplexState {
 
   // ---- Start basis -------------------------------------------------
 
-  // All-logical basis plus a singleton crash: an equality row whose
-  // +1-coefficient structural appears in no other row (and has no upper
-  // bound to violate) starts that structural basic. L1-fit instances
-  // (residual splitting u - v per query) crash completely this way and,
-  // with nonnegative query answers, start feasible — phase 1 is a no-op.
+  // All-logical basis: every structural nonbasic at its (finite) lower
+  // bound, every logical basic. The decode LP starts feasible here (see
+  // recon::LpDecodeProblem), so its phase 1 takes no pivots.
   void ColdStart() {
     for (size_t j = 0; j < n_; ++j) {
       status_[j] = LpVarStatus::kAtLower;
+      x_[j] = lower_[j];
     }
     for (size_t i = 0; i < m_; ++i) {
       status_[n_ + i] = LpVarStatus::kBasic;
-    }
-    // Crash pass, column-major: a structural with exactly one entry,
-    // coefficient ~1, infinite upper bound, landing in an equality row
-    // whose logical is still basic.
-    for (size_t j = 0; j < n_; ++j) {
-      if (cols_.ColumnNnz(j) != 1 || upper_[j] != kInf) continue;
-      size_t k = cols_.ColumnBegin(j);
-      if (std::fabs(cols_.EntryValue(k) - 1.0) > 1e-12) continue;
-      size_t r = cols_.EntryRow(k);
-      if (lower_[n_ + r] != 0.0 || upper_[n_ + r] != 0.0) continue;
-      if (status_[n_ + r] != LpVarStatus::kBasic) continue;
-      status_[n_ + r] = LpVarStatus::kAtLower;
-      status_[j] = LpVarStatus::kBasic;
-    }
-    for (size_t j = 0; j < ncols_; ++j) {
-      x_[j] = status_[j] == LpVarStatus::kBasic ? 0.0 : NonbasicValue(j);
+      x_[n_ + i] = 0.0;
     }
   }
 
@@ -546,45 +514,6 @@ class SimplexState {
     return Status::Ok();
   }
 
-  // ---- Bound perturbation -------------------------------------------
-
-  // Widens every finite bound of every non-fixed column outward (see
-  // kPerturbScale), parks the nonbasic columns on their new bounds and
-  // recomputes x_B. The basis is unchanged, but x_B may now violate the
-  // widened bounds, so phase 1 runs next.
-  void Perturb() {
-    metrics::GetCounter("lp.perturbations").Add(1);
-    saved_lower_ = lower_;
-    saved_upper_ = upper_;
-    for (size_t j = 0; j < ncols_; ++j) {
-      if (upper_[j] - lower_[j] <= 0.0) continue;  // Fixed: stays fixed.
-      const double h =
-          static_cast<double>(MixUint64(kPerturbKey + j) >> 11) * 0x1.0p-53;
-      const double scale = kPerturbScale * (1.0 + h);
-      if (std::isfinite(lower_[j])) {
-        lower_[j] -= scale * std::max(1.0, std::fabs(lower_[j]));
-      }
-      if (std::isfinite(upper_[j])) {
-        upper_[j] += scale * std::max(1.0, std::fabs(upper_[j]));
-      }
-    }
-    SnapNonbasic();
-    ComputeBasicValues();
-  }
-
-  // Puts the original bounds back, parks the nonbasic columns on them and
-  // refreshes the factorization and x_B for the clean-up pass.
-  Status Unperturb() {
-    lower_ = std::move(saved_lower_);
-    upper_ = std::move(saved_upper_);
-    SnapNonbasic();
-    if (!Refactorize()) {
-      return Status::Internal("basis refactorization failed");
-    }
-    ComputeBasicValues();
-    return Status::Ok();
-  }
-
   // ---- Driver ------------------------------------------------------
 
   void Tick(double objective, double phase) {
@@ -597,8 +526,7 @@ class SimplexState {
 
   // Phase 1: drives out basic bound violations, with Bland's rule after
   // a degenerate streak. The span always opens, even for a feasible
-  // (crashed) start: a zero-pivot phase 1 documents "feasible by
-  // construction".
+  // start: a zero-pivot phase 1 documents "feasible by construction".
   Status Phase1() {
     trace::Span span("lp.phase1");
     const size_t first_pivot = iterations_;
@@ -627,20 +555,13 @@ class SimplexState {
     return Status::Ok();
   }
 
-  // Phase 2: optimizes from a feasible basis. When a degenerate streak
-  // passes kDegenerateStreak, `bland` switches pricing to Bland's rule
-  // (the clean-up's termination guarantee); otherwise the pass stops
-  // early and sets *stalled so the caller can perturb.
-  Status Phase2(bool bland, bool* stalled) {
+  // Phase 2: optimizes from a feasible basis, with Bland's rule after a
+  // degenerate streak (the termination guarantee).
+  Status Phase2() {
     trace::Span span("lp.phase2");
     const size_t first_pivot = iterations_;
     size_t degenerate_streak = 0;
-    *stalled = false;
     while (true) {
-      if (!bland && degenerate_streak > kDegenerateStreak) {
-        *stalled = true;
-        break;
-      }
       ++steps_;
       Pricing pr = Price(/*phase1=*/false,
                          degenerate_streak > kDegenerateStreak);
@@ -655,36 +576,11 @@ class SimplexState {
     return Status::Ok();
   }
 
-  // Phase 1, then phase 2. A phase-2 stall on a degenerate vertex gets
-  // one bound perturbation: the perturbed problem is optimized (a second
-  // stall just ends that pass), then the original bounds come back and a
-  // clean-up phase 1 + phase 2 finishes from the perturbed optimum's
-  // basis. Bounds only widen, so the perturbed problem's feasible set
-  // and recession cone contain the original's: every status except an
-  // exhausted budget is left to the clean-up, which alone decides the
-  // status and the objective.
-  Status Optimize() {
-    Status st = Phase1();
-    if (!st.ok()) return st;
-    bool stalled = false;
-    st = Phase2(/*bland=*/false, &stalled);
-    if (!st.ok() || !stalled) return st;
-
-    Perturb();
-    st = Phase1();
-    if (st.ok()) st = Phase2(/*bland=*/false, &stalled);
-    if (st.code() == StatusCode::kResourceExhausted) return st;
-    st = Unperturb();
-    if (st.ok()) st = Phase1();
-    if (st.ok()) st = Phase2(/*bland=*/true, &stalled);
-    return st;
-  }
-
   Result<LpSolution> Run(const LpSolveOptions& options) {
     ColdStart();
     if (!Refactorize()) {
-      // The cold basis is triangular by construction; this cannot fire
-      // unless the instance itself is numerically broken.
+      // The all-logical basis is the identity; this cannot fire unless
+      // the instance itself is numerically broken.
       return Status::Internal("cold-start basis is singular");
     }
     ComputeBasicValues();
@@ -693,7 +589,8 @@ class SimplexState {
     progress::ScopedSolve solve_guard;
     progress::ProgressReporter progress("simplex", kProgressEvery);
     progress_ = &progress;
-    Status st = Optimize();
+    Status st = Phase1();
+    if (st.ok()) st = Phase2();
     progress_ = nullptr;
     if (!st.ok()) return st;
 
@@ -710,7 +607,7 @@ class SimplexState {
     for (size_t j = 0; j < n_; ++j) obj += cost_[j] * sol.values[j];
     sol.objective = obj;
     sol.iterations = iterations_;
-    // One BTRAN at the final (unperturbed) basis: y = B^-T c_B.
+    // One BTRAN at the final basis: y = B^-T c_B.
     sol.row_duals.resize(m_);
     for (size_t i = 0; i < m_; ++i) sol.row_duals[i] = cost_[basic_[i]];
     ApplyEtasTranspose(sol.row_duals);
@@ -734,8 +631,6 @@ class SimplexState {
   std::vector<bool> row_assigned_;
   SparseVector work_;
   std::vector<double> dual_;
-  std::vector<double> saved_lower_;  // Original bounds while perturbed.
-  std::vector<double> saved_upper_;
   size_t pivots_since_refactor_ = 0;
   size_t iterations_ = 0;
   size_t refactor_count_ = 0;

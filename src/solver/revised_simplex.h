@@ -4,7 +4,7 @@
 // same engine on a plain LpInstance. The header also publishes the tuning
 // constants tests need to craft instances that cross specific solver
 // regimes (e.g. enough pivots to force a periodic refactorization, or a
-// degenerate streak long enough to trip the bound perturbation).
+// degenerate streak long enough to switch pricing to Bland's rule).
 //
 // Algorithm sketch (details in revised_simplex.cc):
 //   - Bounded-variable formulation: every constraint row i gets a logical
@@ -21,18 +21,13 @@
 //     that hit their own opposite bound flip without a basis change. The
 //     ratio test steps by the smallest blocking ratio and breaks
 //     near-ties by smallest basic index.
-//   - Degeneracy: when phase 2 strings more than kDegenerateStreak
-//     zero-step pivots together (an exact-answer L1 decode's optimum
-//     makes every residual zero), every finite bound of every non-fixed
-//     column is widened once by a small, deterministic, per-column
-//     amount. The perturbed problem is solved from the current basis;
-//     then the original bounds return and an unperturbed clean-up
-//     (phase 1 + phase 2, Bland's rule after a degenerate streak as the
-//     termination guarantee) decides the status and the objective.
+//   - Degeneracy: when either phase strings more than kDegenerateStreak
+//     zero-step pivots together, pricing switches to Bland's rule (first
+//     eligible index), which cannot cycle; a nonzero step switches back.
 //   - A pivot budget (LpSolveOptions::max_pivots) bounds the work; an
 //     overrun is kResourceExhausted with every pivot counted.
-//   - Every solve starts cold, from the all-logical basis plus a
-//     singleton crash. On exit, one BTRAN yields the row duals.
+//   - Every solve starts from the all-logical basis. On exit, one BTRAN
+//     yields the row duals.
 
 #ifndef PSO_SOLVER_REVISED_SIMPLEX_H_
 #define PSO_SOLVER_REVISED_SIMPLEX_H_
@@ -61,9 +56,8 @@ namespace pso::revised_simplex_internal {
 /// each pivot appends one eta to the product-form file.
 inline constexpr size_t kRefactorInterval = 64;
 
-/// Consecutive degenerate (zero-step) pivots tolerated before phase 2
-/// perturbs the bounds (first pass) or pricing switches to Bland's rule
-/// (phase 1 and the unperturbed clean-up's phase 2).
+/// Consecutive degenerate (zero-step) pivots tolerated, in either phase,
+/// before pricing switches to Bland's rule.
 inline constexpr size_t kDegenerateStreak = 64;
 
 }  // namespace pso::revised_simplex_internal

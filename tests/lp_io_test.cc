@@ -70,9 +70,11 @@ std::string FetchFixture(const std::string& name) {
 // The pinned worst case: the primal L1 fit (oracles::L1FitPrimal) of
 //   psoctl recon --decoder lp --n 64 --queries 320 --alpha 0 --seed 1
 // built from that run's secret and queries and saved with
-// EncodeLpInstance. The decoder itself solves this fit's n-row dual. Exact answers put the optimum on a
-// massively degenerate vertex, where Bland's rule alone needed over a
-// hundred thousand pivots; the solve must stay within 8 pivots per row.
+// EncodeLpInstance. The decoder itself solves this fit's n-row dual.
+// Exact answers put the optimum on a massively degenerate vertex; a
+// start basis that sits on that vertex (a singleton crash) needed over a
+// hundred thousand pivots under Bland's rule. From the all-logical basis
+// the solve must stay within 8 pivots per row.
 TEST(LpIoFixtureTest, PinnedExactDecodeSolvesWithinEightPivotsPerRow) {
   const std::string bytes = FetchFixture("recon_exact_n64_seed1.psolp");
   ASSERT_FALSE(bytes.empty()) << "fixture missing from " PSO_TEST_DATA_DIR;

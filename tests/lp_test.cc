@@ -122,6 +122,22 @@ TEST_P(LpEngineTest, UnboundedWithConstraintsIsNotInternal) {
   EXPECT_NE(sol.status().code(), StatusCode::kInternal);
 }
 
+TEST_P(LpEngineTest, ShallowRayIsUnbounded) {
+  // min -x0 + 2 x1  s.t.  0.5 x0 - (1 + 2^-27) x1 <= 1, x >= 0. Along the
+  // ray x0 = 2 (1 + 2^-27) x1 the objective falls by only 2^-26 (about
+  // 1.5e-8) per unit of x1, a reduced cost between the entering tolerance
+  // and any looser re-scan: still unbounded, never an optimum of -2.
+  LpProblem lp;
+  size_t x0 = lp.AddVariable(0, LpProblem::kInfinity, -1.0);
+  size_t x1 = lp.AddVariable(0, LpProblem::kInfinity, 2.0);
+  lp.AddConstraint({{x0, 0.5}, {x1, -(1.0 + std::ldexp(1.0, -27))}},
+                   Relation::kLessEq, 1.0);
+  auto sol = Solve(lp);
+  ASSERT_FALSE(sol.ok()) << "objective " << sol->objective;
+  EXPECT_EQ(sol.status().code(), StatusCode::kUnbounded)
+      << sol.status().ToString();
+}
+
 TEST_P(LpEngineTest, BoundingTheRayRestoresOptimality) {
   // The same model with an upper bound on each variable is bounded again:
   // regression pair for the unbounded classifier.

@@ -66,14 +66,21 @@ class Tableau {
   std::vector<double> data_;
 };
 
+// How RunSimplex ended.
+enum class SimplexEnd {
+  kOptimal,    // No eligible column has a negative reduced cost.
+  kUnbounded,  // An entering column that no row blocks: a cost ray.
+  kBudget,     // *iterations reached max_pivots short of an answer.
+};
+
 // Runs simplex minimization on the tableau whose objective row already
 // holds reduced costs w.r.t. the current basis. `allowed` masks columns
-// eligible to enter. Adds its pivots to *iterations on every exit;
-// returns false when *iterations reaches max_pivots short of an answer.
-bool RunSimplex(Tableau& t, std::vector<size_t>& basis,
-                const std::vector<bool>& allowed, size_t max_pivots,
-                size_t* iterations, size_t* pivot_work,
-                lp_internal::PivotSink* sink) {
+// eligible to enter. Adds its pivots to *iterations on every exit; on
+// kUnbounded, *ray is the entering column no row blocks.
+SimplexEnd RunSimplex(Tableau& t, std::vector<size_t>& basis,
+                      const std::vector<bool>& allowed, size_t max_pivots,
+                      size_t* iterations, size_t* pivot_work,
+                      lp_internal::PivotSink* sink, size_t* ray) {
   size_t degenerate_streak = 0;
   for (size_t iter = 0;; ++iter) {
     // Entering column: Dantzig (most negative reduced cost); switch to
@@ -98,7 +105,7 @@ bool RunSimplex(Tableau& t, std::vector<size_t>& basis,
     }
     if (enter == t.cols()) {
       *iterations += iter;
-      return true;  // optimal
+      return SimplexEnd::kOptimal;
     }
 
     // Leaving row: min ratio; ties broken by smallest basis index (Bland).
@@ -119,11 +126,12 @@ bool RunSimplex(Tableau& t, std::vector<size_t>& basis,
     }
     if (leave == t.rows()) {
       *iterations += iter;
-      return true;  // unbounded direction; caller inspects objective
+      *ray = enter;
+      return SimplexEnd::kUnbounded;
     }
     if (*iterations + iter >= max_pivots) {
       *iterations += iter;
-      return false;
+      return SimplexEnd::kBudget;
     }
 
     degenerate_streak = (best_ratio <= kEps) ? degenerate_streak + 1 : 0;
@@ -264,6 +272,7 @@ Result<LpSolution> SolveDenseTableau(const LpInstance& model,
   metrics::GetCounter("lp.tableau_cols").Add(cols);
 
   size_t iterations = 0;
+  size_t ray = cols;
 
   // ---- Phase 1: minimize sum of artificials. ----
   // The span is opened even when the crash basis removed every
@@ -282,16 +291,18 @@ Result<LpSolution> SolveDenseTableau(const LpInstance& model,
           for (size_t c = 0; c <= cols; ++c) t.Obj(c) -= t.At(r, c);
         }
       }
+      // The phase-1 objective is bounded below by 0, so it has no ray;
+      // the residual check below decides feasibility either way.
       std::vector<bool> allowed(cols, true);
-      bool phase1_done =
+      SimplexEnd phase1_end =
           RunSimplex(t, basis, allowed, options.max_pivots, &iterations,
-                     &scope.pivot_work, &scope.pivots);
+                     &scope.pivot_work, &scope.pivots, &ray);
       scope.phase1_iterations = iterations;
       scope.total_iterations = iterations;
       if (phase1_span.active()) {
         phase1_span.Arg("pivots", std::to_string(iterations));
       }
-      if (!phase1_done) {
+      if (phase1_end == SimplexEnd::kBudget) {
         return PivotBudgetExhausted(iterations, options.max_pivots);
       }
       if (-t.ObjValue() > 1e-6) {
@@ -334,35 +345,22 @@ Result<LpSolution> SolveDenseTableau(const LpInstance& model,
   }
   std::vector<bool> allowed(cols, true);
   for (size_t c = art_begin; c < cols; ++c) allowed[c] = false;
-  bool phase2_done =
+  SimplexEnd phase2_end =
       RunSimplex(t, basis, allowed, options.max_pivots, &iterations,
-                 &scope.pivot_work, &scope.pivots);
+                 &scope.pivot_work, &scope.pivots, &ray);
   scope.total_iterations = iterations;
   if (phase2_span.active()) {
     phase2_span.Arg("pivots",
                     std::to_string(iterations - scope.phase1_iterations));
   }
-  if (!phase2_done) {
+  if (phase2_end == SimplexEnd::kBudget) {
     return PivotBudgetExhausted(iterations, options.max_pivots);
   }
-  // Unboundedness check: a negative reduced cost with no leaving row leaves
-  // the objective row non-optimal; detect by rescanning. This is a property
-  // of the model (a cost ray the constraints never cap), not a solver
-  // failure, so it gets its own status code.
-  for (size_t c = 0; c < cols; ++c) {
-    if (allowed[c] && t.Obj(c) < -1e-6) {
-      bool has_leaving = false;
-      for (size_t r = 0; r < m; ++r) {
-        if (t.At(r, c) > kEps) {
-          has_leaving = true;
-          break;
-        }
-      }
-      if (!has_leaving) {
-        return Status::Unbounded(StrFormat(
-            "objective improves without bound along column %zu", c));
-      }
-    }
+  // A cost ray the constraints never cap is a property of the model, not
+  // a solver failure, so it gets its own status code.
+  if (phase2_end == SimplexEnd::kUnbounded) {
+    return Status::Unbounded(StrFormat(
+        "objective improves without bound along column %zu", ray));
   }
 
   LpSolution sol;

@@ -1,7 +1,6 @@
 // Targeted tests for the revised simplex, the LP engine: anti-cycling on
-// classic degenerate instances, the bound perturbation and clean-up that
-// answer a degenerate stall, the pivot budget, the ratio test's near-tie
-// rule, eta-file refactorization on long solves, and the degenerate
+// classic degenerate instances, an exact (degenerate-optimum) L1 fit, the
+// pivot budget, the ratio test's near-tie rule, eta-file refactorization on long solves, and the degenerate
 // shapes (empty, 1x1, all-slack, duplicate columns) that never show up in
 // the random differential suites. The dense-tableau oracle
 // (tests/oracles/) serves as the reference throughout.
@@ -25,9 +24,9 @@ uint64_t CounterValue(const char* name) {
 }
 
 // Beale's classic cycling example: the textbook Dantzig rule cycles
-// forever on this LP. Phase 2 answers the degenerate streak with one
-// bound perturbation; reaching the optimum at all exercises that
-// perturbation and the unperturbed clean-up after it.
+// forever on this LP. After kDegenerateStreak zero-step pivots phase 2
+// switches to Bland's rule, which ends the cycle; reaching the optimum at
+// all exercises that switch.
 LpProblem BealeCyclingLp() {
   LpProblem lp;
   size_t x1 = lp.AddVariable(0.0, LpProblem::kInfinity, -0.75);
@@ -44,11 +43,9 @@ LpProblem BealeCyclingLp() {
 
 TEST(RevisedSimplexTest, BealeDegenerateCyclingInstance) {
   LpProblem lp = BealeCyclingLp();
-  const uint64_t perturbations_before = CounterValue("lp.perturbations");
   Result<LpSolution> got = lp.Solve();
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_NEAR(got->objective, -0.05, 1e-9);
-  EXPECT_EQ(CounterValue("lp.perturbations") - perturbations_before, 1u);
   // Termination must come from optimality, not the pivot budget.
   EXPECT_LT(got->iterations, 1000u);
 }
@@ -58,8 +55,7 @@ TEST(RevisedSimplexTest, BealeDegenerateCyclingInstance) {
 // subsets s_j. By default a_j is random, so the fit is inconsistent and
 // the optimum non-degenerate; long enough to cross kRefactorInterval
 // several times. With `exact`, a_j = <s_j, secret> for a random secret:
-// the optimum makes every residual zero, the primal-degenerate vertex the
-// bound perturbation exists for.
+// the optimum makes every residual zero, a primal-degenerate vertex.
 LpProblem L1FitLp(size_t n, size_t q, uint64_t seed, bool exact = false) {
   Rng rng(seed);
   std::vector<int> secret(exact ? n : 0);
@@ -87,20 +83,17 @@ LpProblem L1FitLp(size_t n, size_t q, uint64_t seed, bool exact = false) {
   return lp;
 }
 
-TEST(RevisedSimplexTest, DegenerateStallPerturbsOnceThenCleansUp) {
+TEST(RevisedSimplexTest, ExactL1FitReachesItsDegenerateOptimum) {
   const size_t q = 160;
   LpProblem lp = L1FitLp(/*n=*/32, q, /*seed=*/9, /*exact=*/true);
-  const uint64_t perturbations = CounterValue("lp.perturbations");
   const uint64_t pivots = CounterValue("lp.pivots");
   const uint64_t phase1 = CounterValue("lp.phase1_iterations");
   const uint64_t phase2 = CounterValue("lp.phase2_iterations");
   Result<LpSolution> got = lp.Solve();
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(CounterValue("lp.perturbations") - perturbations, 1u);
-  // The clean-up restores the original bounds: the answer is the exact
-  // problem's optimum (0: the secret fits every answer), inside the exact
-  // problem's box. proptest_solver_test checks the path against the
-  // dense oracle on smaller instances.
+  // The answer is the optimum (0: the secret fits every answer), inside
+  // the box. proptest_solver_test checks the path against the dense
+  // oracle on smaller instances.
   EXPECT_LE(got->objective, 1e-6);
   EXPECT_GE(got->objective, 0.0);
   for (size_t i = 0; i < got->values.size(); ++i) {
@@ -108,16 +101,15 @@ TEST(RevisedSimplexTest, DegenerateStallPerturbsOnceThenCleansUp) {
     EXPECT_LE(got->values[i], lp.instance().variables[i].upper) << i;
   }
   EXPECT_LE(got->iterations, 8 * q);
-  // Perturbed pass and clean-up book their pivots to the phase that
-  // made them, and the phases add up to the total.
+  // Each pivot is booked to the phase that made it, and the phases add
+  // up to the total.
   const uint64_t spent = CounterValue("lp.pivots") - pivots;
   EXPECT_EQ(spent, got->iterations);
   EXPECT_EQ(CounterValue("lp.phase1_iterations") - phase1 +
                 CounterValue("lp.phase2_iterations") - phase2,
             spent);
 
-  // The perturbation is a fixed function of the column index: a second
-  // solve replays the first bit for bit.
+  // A second solve replays the first bit for bit.
   Result<LpSolution> again = lp.Solve();
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again->iterations, got->iterations);
@@ -190,12 +182,8 @@ TEST(RevisedSimplexTest, RatioTestNearTieNeverOvershootsASteepRow) {
 TEST(RevisedSimplexTest, LongSolveCrossesRefactorizationInterval) {
   LpProblem lp = L1FitLp(/*n=*/16, /*q=*/96, /*seed=*/71);
   const uint64_t refactors_before = CounterValue("lp.refactorizations");
-  const uint64_t perturbations_before = CounterValue("lp.perturbations");
   Result<LpSolution> sparse = lp.Solve();
   ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
-  // Inconsistent answers leave the optimum non-degenerate: no stall, so
-  // no perturbation and exactly the plain Dantzig path.
-  EXPECT_EQ(CounterValue("lp.perturbations") - perturbations_before, 0u);
   ASSERT_GT(sparse->iterations, revised_simplex_internal::kRefactorInterval)
       << "instance too easy to exercise refactorization";
   // At least one periodic refactorization beyond the initial one.

@@ -8,9 +8,8 @@
 
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
@@ -20,8 +19,10 @@
 
 #include "common/metrics.h"
 #include "common/parallel.h"
+#include "common/rng.h"
+#include "recon/attacks.h"
+#include "recon/oracle.h"
 #include "solver/lp.h"
-#include "solver/lp_io.h"
 #include "solver/sat.h"
 
 namespace pso {
@@ -442,28 +443,22 @@ SatSolver Pigeonhole(uint32_t pigeons) {
   return solver;
 }
 
-// Reads a saved instance from tests/data/ ("" when it is missing).
-std::string FetchFixture(const std::string& name) {
-  std::ifstream in(std::string(PSO_TEST_DATA_DIR) + "/" + name,
-                   std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
 // A traced solve emits at most 256 instants of each solver instant name,
 // however long the search runs.
 TEST(TraceTest, SolverInstantsCappedPerSolve) {
-  // The exact-answer n = 64 decode LP (see lp_io_test): over 1,000
-  // pivots across phase 1, the perturbed phase 2 and the clean-up.
-  const std::string bytes = FetchFixture("recon_exact_n64_seed1.psolp");
-  ASSERT_FALSE(bytes.empty()) << "fixture missing from " PSO_TEST_DATA_DIR;
-  Result<LpInstance> inst = DecodeLpInstance(bytes);
-  ASSERT_TRUE(inst.ok()) << inst.status().ToString();
+  // A production-shaped decode: the n-row dual LP of a noisy n = 128
+  // transcript (5n queries, noise bound sqrt(n)), over 1,000 pivots.
   {
+    const size_t n = 128;
+    Rng rng(1);
+    recon::BoundedNoiseOracle oracle(recon::RandomBits(n, rng),
+                                     std::sqrt(static_cast<double>(n)),
+                                     /*seed=*/2);
     ScopedTracing tracing;
-    Result<LpSolution> sol = inst->ToProblem().Solve();
-    ASSERT_TRUE(sol.ok()) << sol.status().ToString();
-    ASSERT_GT(sol->iterations, 1000u);
+    const uint64_t pivots = metrics::GetCounter("lp.pivots").value();
+    Result<recon::Reconstruction> r = recon::LpReconstruct(oracle, 5 * n, rng);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_GT(metrics::GetCounter("lp.pivots").value() - pivots, 1000u);
     EXPECT_EQ(CountInstants(Collector::Global().TakeEvents(), "lp.pivot"),
               256u);
   }

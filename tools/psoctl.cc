@@ -189,11 +189,13 @@ std::vector<FlagSpec> CommandFlags(const std::string& command) {
 int RunGame(const Flags& flags) {
   Universe u = MakeGicMedicalUniverse();
   const double eps = flags.GetDouble("eps", 1.0);
+  const double tau = flags.GetDouble("tau", 0.0);
   if (flags.GetInt("n", 400) < 2 || flags.GetInt("trials", 100) < 1 ||
-      flags.GetInt("k", 5) < 1 || !std::isfinite(eps) || eps <= 0.0) {
+      flags.GetInt("k", 5) < 1 || !std::isfinite(eps) || eps <= 0.0 ||
+      !(tau >= 0.0 && tau <= 1.0)) {
     std::fprintf(stderr,
                  "invalid flags: need --n >= 2, --trials >= 1, --k >= 1, "
-                 "finite --eps > 0\n");
+                 "finite --eps > 0, --tau in [0, 1]\n");
     return 2;
   }
   const size_t n = static_cast<size_t>(flags.GetInt("n", 400));
@@ -245,7 +247,7 @@ int RunGame(const Flags& flags) {
   auto pool = MakePool(flags);
   PsoGameOptions opts;
   opts.trials = static_cast<size_t>(flags.GetInt("trials", 100));
-  opts.weight_threshold = flags.GetDouble("tau", 0.0);
+  opts.weight_threshold = tau;
   opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   opts.pool = pool.get();
   PsoGame game(u.distribution, n, opts);
@@ -260,11 +262,13 @@ int RunGame(const Flags& flags) {
 }
 
 int RunCensus(const Flags& flags) {
+  const double eps = flags.GetDouble("eps", 0.0);
   if (flags.GetInt("blocks", 50) < 1 || flags.GetInt("min-size", 2) < 1 ||
-      flags.GetInt("max-size", 8) < flags.GetInt("min-size", 2)) {
+      flags.GetInt("max-size", 8) < flags.GetInt("min-size", 2) ||
+      !std::isfinite(eps) || eps < 0.0) {
     std::fprintf(stderr,
-                 "invalid flags: need --blocks >= 1 and 1 <= --min-size <= "
-                 "--max-size\n");
+                 "invalid flags: need --blocks >= 1, 1 <= --min-size <= "
+                 "--max-size, finite --eps >= 0\n");
     return 2;
   }
   census::PopulationOptions popts;
@@ -274,7 +278,6 @@ int RunCensus(const Flags& flags) {
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
   census::Population pop = census::GeneratePopulation(popts, rng);
 
-  const double eps = flags.GetDouble("eps", 0.0);
   std::vector<census::BlockTables> tables;
   for (const auto& b : pop.blocks) {
     tables.push_back(eps > 0.0
@@ -345,13 +348,20 @@ int RunCensus(const Flags& flags) {
 }
 
 int RunLinkage(const Flags& flags) {
+  const double coverage = flags.GetDouble("coverage", 0.75);
+  if (flags.GetInt("n", 10000) < 1 || flags.GetInt("k", 0) < 0 ||
+      !(coverage >= 0.0 && coverage <= 1.0)) {
+    std::fprintf(stderr,
+                 "invalid flags: need --n >= 1, --k >= 0, --coverage in "
+                 "[0, 1]\n");
+    return 2;
+  }
   Universe u = MakeGicMedicalUniverse(200);
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
   linkage::IdentifiedPopulation pop = linkage::SamplePopulation(
       u, static_cast<size_t>(flags.GetInt("n", 10000)), rng);
   std::vector<size_t> qi = {0, 1, 2, 3};
-  auto voters = linkage::BuildVoterFile(
-      pop, qi, flags.GetDouble("coverage", 0.75), rng);
+  auto voters = linkage::BuildVoterFile(pop, qi, coverage, rng);
 
   const size_t k = static_cast<size_t>(flags.GetInt("k", 0));
   linkage::LinkageReport report;

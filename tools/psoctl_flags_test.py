@@ -33,6 +33,19 @@ BAD_FLAGS = [
     ["membership", "--trials", "0"],
     ["membership", "--eps", "nan"],
     ["game", "--eps", "nan"],
+    ["game", "--tau", "-1"],
+    ["game", "--tau", "2"],
+    ["game", "--tau", "inf"],
+    ["game", "--tau", "nan"],
+    ["census", "--eps", "inf"],
+    ["census", "--eps", "-1"],
+    ["census", "--eps", "nan"],
+    ["linkage", "--coverage", "2"],
+    ["linkage", "--coverage", "-0.5"],
+    ["linkage", "--coverage", "nan"],
+    ["linkage", "--k", "-1"],
+    ["linkage", "--n", "0"],
+    ["linkage", "--n", "-5"],
 ]
 
 
